@@ -36,7 +36,7 @@ from .deptree import (
 )
 from .evalsuite import evaluate
 from .linearizer import emit_training_pairs, write_pair_files
-from .ngram import NGramModel, train_ngram
+from .ngram import BOS, UNK, NGramModel, train_ngram
 from .realizer import FormLexicon, NGramScorer, beam_realize, build_form_lexicon
 from .synthpipe import FilterPolicy, build_synthetic_dataset, build_vocab
 
@@ -75,6 +75,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not valid UTF-8: {err}") from None
 
 
 def _read_ref_lines(path: Path) -> list[list[str]]:
@@ -183,6 +185,13 @@ def cmd_pairs(args) -> int:
 
 def cmd_train_lm(args) -> int:
     refs = _read_ref_lines(args.refs)
+    # split() leaves no empty or whitespace-bearing token; only the markers can clash
+    for line_no, tokens in enumerate(refs, 1):
+        for marker in (BOS, UNK):
+            if marker in tokens:
+                raise DataError(f"{args.refs} line {line_no}: reserved token {marker!r}")
+    if not any(refs):
+        raise DataError(f"no reference tokens in {args.refs}")
     model = train_ngram(refs, order=args.order, lam=args.lam)
     out = Path(args.out)
     if out.parent != Path(""):

@@ -177,7 +177,10 @@ def shallow_from_conllu(
         if value is None:
             alignment = None
             break
-        alignment[t.id] = int(value) - 1
+        try:
+            alignment[t.id] = int(value) - 1
+        except ValueError:
+            raise ConlluError(f"non-integer {ALIGN_KEY} {value!r} for token {t.id}") from None
     if alignment is not None:
         positions = sorted(alignment.values())
         if positions != list(range(len(sentence.tokens))):

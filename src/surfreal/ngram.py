@@ -18,6 +18,8 @@ from collections import Counter
 BOS = "<s>"
 UNK = "<unk>"
 _HEADER_TAG = "ngram-counts-v1"
+# logprob memo entries kept before the memo is cleared; bounds memory on long runs
+_MEMO_MAX = 1_000_000
 
 
 class NGramModel:
@@ -43,7 +45,7 @@ class NGramModel:
     def context_key(self, history: tuple[str, ...] | list[str]) -> tuple[str, ...]:
         """Last order-1 history tokens, left-padded with begin markers."""
         need = self.order - 1
-        hist = tuple(history)[-need:] if need else ()
+        hist = tuple(history[-need:]) if need else ()  # history[-0:] is all of it
         return (BOS,) * (need - len(hist)) + hist
 
     def prob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
@@ -62,10 +64,15 @@ class NGramModel:
         return self.lam * ml + (1.0 - self.lam) * lower
 
     def logprob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
-        key = (token, self.context_key(history))
+        need = self.order - 1
+        hist = tuple(history[-need:]) if need else ()
+        ctx = (BOS,) * (need - len(hist)) + hist  # as context_key, built once per call
+        key = (token, ctx)
         cached = self._memo.get(key)
         if cached is None:
-            cached = math.log(self.prob(token, history))
+            if len(self._memo) >= _MEMO_MAX:
+                self._memo.clear()
+            cached = math.log(self._p(self.order, token if token in self.vocab else UNK, ctx))
             self._memo[key] = cached
         return cached
 

@@ -133,14 +133,6 @@ class OracleScorer(Scorer):
         return self.WRONG
 
 
-def oracle_scorer(reference: ShallowSentence) -> OracleScorer:
-    return OracleScorer(reference)
-
-
-def ngram_scorer(model: NGramModel) -> NGramScorer:
-    return NGramScorer(model)
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     emitted: tuple[tuple[int, str], ...]
@@ -179,16 +171,19 @@ def beam_realize(
 ) -> RealizationResult:
     """Beam search of exactly n steps over the restricted continuations.
 
-    Hypotheses are ranked by score with ties broken by generation order
-    (beam rank, then the canonical continuation order), so decoding is
-    fully deterministic.  Retention is slot-nested rather than plain
-    top-k: each survivor takes the lowest free beam slot at or above
-    its parent's slot, and a hypothesis with no free slot left is
-    pruned.  The slots 1..s then hold exactly what a width-s search
-    would keep (slot 1 is the greedy chain), so the best final score
-    never decreases as the beam widens.  With a beam at least as large
-    as the number of reachable hypotheses nothing is ever pruned and
-    the search is exhaustive.
+    Each step calls ``scorer.score_next`` exactly once per candidate, in
+    the canonical order (beam rank, then the canonical continuation
+    order), and keeps only a flat score per candidate; a Hypothesis is
+    materialized only for the candidates that survive the step.
+    Candidates are ranked by score with ties broken by that generation
+    order, so decoding is fully deterministic.  Retention is
+    slot-nested rather than plain top-k: each survivor takes the lowest
+    free beam slot at or above its parent's slot, and a candidate with
+    no free slot left is pruned.  The slots 1..s then hold exactly what
+    a width-s search would keep (slot 1 is the greedy chain), so the
+    best final score never decreases as the beam widens.  With a beam at
+    least as large as the number of reachable hypotheses nothing is
+    ever pruned and the search is exhaustive.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -202,22 +197,17 @@ def beam_realize(
     beam = [Hypothesis(emitted=(), remaining=frozenset(tree.nodes), score=0.0)]
     slots = [1]
     for _step in range(n):
-        entries: list[Hypothesis] = []
-        parent_slots: list[int] = []
-        for hyp, parent_slot in zip(beam, slots):
+        scores: list[float] = []
+        moves: list[tuple[int, int, str]] = []  # (parent index, node id, form)
+        for parent_index, hyp in enumerate(beam):
             history = hyp.forms()
             for node_id in sorted(hyp.remaining):
+                handle = handles[node_id]
                 for form, _count in cands[node_id]:
-                    delta = scorer.score_next(history, form, handles[node_id])
-                    entries.append(
-                        Hypothesis(
-                            emitted=hyp.emitted + ((node_id, form),),
-                            remaining=hyp.remaining - {node_id},
-                            score=hyp.score + delta,
-                        )
-                    )
-                    parent_slots.append(parent_slot)
-        order = sorted(range(len(entries)), key=lambda i: -entries[i].score)  # stable
+                    scores.append(hyp.score + scorer.score_next(history, form, handle))
+                    moves.append((parent_index, node_id, form))
+        # stable: equal scores keep generation order
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
         # union-find over slots: next_free[s] chases the lowest free slot >= s;
         # beam_size + 1 is the overflow sentinel meaning "prune"
@@ -231,14 +221,21 @@ def beam_realize(
                 next_free[slot], slot = root, next_free[slot]
             return root
 
+        parents, parent_slots = beam, slots
         beam, slots = [], []
         for i in order:
-            slot = _free_slot(parent_slots[i])
+            parent_index, node_id, form = moves[i]
+            slot = _free_slot(parent_slots[parent_index])
             if slot > beam_size:
                 continue
             next_free[slot] = slot + 1
-            beam.append(entries[i])
+            parent = parents[parent_index]
+            beam.append(Hypothesis(emitted=parent.emitted + ((node_id, form),),
+                                   remaining=parent.remaining - {node_id},
+                                   score=scores[i]))
             slots.append(slot)
+            if len(beam) == beam_size:
+                break  # every slot is taken: the rest would overflow
 
     # the kept list is in score order (generation order on ties), so the
     # first element is the returned argmax

@@ -40,10 +40,10 @@ from surfreal.evalsuite import (
 from surfreal.ngram import NGramModel, train_ngram
 from surfreal.realizer import (
     NGramScorer,
+    OracleScorer,
     beam_realize,
     build_form_lexicon,
     lexicon_coverage,
-    oracle_scorer,
 )
 from surfreal.synthpipe import FilterPolicy, build_synthetic_dataset, nfc_sentence
 
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_round_trip():
         exact = 0
         hyps, refs = [], []
         for i, s in enumerate(dataset):
-            result = beam_realize(s, oracle_scorer(s), 1, lexicon)
+            result = beam_realize(s, OracleScorer(s), 1, lexicon)
             reproduced = tuple(result.tokens) == s.reference_forms
             assert reproduced == (i not in flagged)
             exact += reproduced

@@ -225,3 +225,16 @@ def test_data_errors(tmp_path):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("only one line\n", encoding="utf-8")
     assert main(["eval", "--hyp", str(hyp), "--ref", str(gold)]) == 2
+    latin1 = tmp_path / "latin1.conllu"
+    latin1.write_bytes(good.encode("utf-8") + "# caf\u00e9\n".encode("latin-1"))
+    assert main(["make-dataset", "--in", str(latin1), "--out", str(tmp_path / "d5")]) == 2
+    aligned = (ds / "shallow.conllu").read_text(encoding="utf-8")
+    bad_align = tmp_path / "bad_align.conllu"
+    bad_align.write_text(aligned.replace("original_id=1", "original_id=x", 1), encoding="utf-8")
+    assert main(["pairs", "--in", str(bad_align), "--refs", str(ds / "refs.txt"),
+                 "--out", str(tmp_path / "p2")]) == 2
+    for name, text in [("bos", "a <s> b\n"), ("unk", "a b\n<unk>\n"), ("empty", "\n\n")]:
+        bad_refs = tmp_path / f"refs_{name}.txt"
+        bad_refs.write_text(text, encoding="utf-8")
+        assert main(["train-lm", "--refs", str(bad_refs),
+                     "--out", str(tmp_path / f"lm_{name}.ngrams")]) == 2, name

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from surfreal import ngram
 from surfreal.ngram import BOS, UNK, NGramModel, train_ngram
 
 
@@ -104,6 +105,23 @@ def test_logprob_is_memoized_and_consistent():
     assert model.logprob("cat", ["the"]) == a
     assert abs(a - math.log(model.prob("cat", ["the"]))) < 1e-15
     assert model._memo  # populated
+
+
+def test_memo_bound_clears_without_changing_scores(monkeypatch):
+    rng = random.Random(5)
+    words = sorted({t for s in TOY for t in s}) + ["oovx"]
+    queries = [(rng.choice(words), [rng.choice(words) for _ in range(rng.randint(0, 3))])
+               for _ in range(200)]
+    unbounded = train_ngram(TOY, order=3, lam=0.7)
+    want = [unbounded.logprob(token, history) for token, history in queries]
+    monkeypatch.setattr(ngram, "_MEMO_MAX", 4)
+    bounded = train_ngram(TOY, order=3, lam=0.7)
+    got = []
+    for token, history in queries:
+        got.append(bounded.logprob(token, history))
+        assert len(bounded._memo) <= 4
+    assert got == want
+    assert len(unbounded._memo) > 4  # so the bounded memo was cleared along the way
 
 
 def test_pickle_drops_memo_but_keeps_scores():

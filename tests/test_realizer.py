@@ -16,8 +16,6 @@ from surfreal.realizer import (
     build_form_lexicon,
     feats_key,
     lexicon_coverage,
-    ngram_scorer,
-    oracle_scorer,
 )
 from conftest import copula_ref
 from toylang import ToyLang, tok
@@ -94,7 +92,7 @@ def test_oracle_scorer_marks_exactly_one_continuation_per_step(toy):
     gold = toy.sentence("medium")
     s = shallow_transform(gold, seed=3)
     lexicon = build_form_lexicon([gold])
-    scorer = oracle_scorer(s)
+    scorer = OracleScorer(s)
     hyp = Hypothesis(emitted=(), remaining=frozenset(s.tree.nodes), score=0.0)
     zero_scored = [
         (nid, form) for nid, form in allowed_continuations(hyp, s, lexicon)
@@ -115,7 +113,7 @@ def test_oracle_greedy_decode_reproduces_reference(toy):
     lexicon = build_form_lexicon(gold)
     for i, sentence in enumerate(gold):
         s = shallow_transform(sentence, seed=i)
-        result = beam_realize(s, oracle_scorer(s), 1, lexicon)
+        result = beam_realize(s, OracleScorer(s), 1, lexicon)
         assert tuple(result.tokens) == s.reference_forms
         assert result.score == 0.0
 
@@ -127,7 +125,7 @@ def test_single_node_returns_best_count_form():
     lexicon = build_form_lexicon(gold)
     model = train_ngram([["ran"], ["ran"], ["runs"]], order=2, lam=0.7)
     s = ShallowSentence(tree=build_tree(gold[0]))
-    result = beam_realize(s, ngram_scorer(model), 4, lexicon)
+    result = beam_realize(s, NGramScorer(model), 4, lexicon)
     assert result.tokens == ["ran"]
     assert result.node_order == [1]
     assert result.score == model.logprob("ran", [])
@@ -239,7 +237,7 @@ def test_beam_rejects_bad_inputs(toy):
     s = simple_shallow(toy)
     lexicon = build_form_lexicon([copula_ref("am")])
     with pytest.raises(ValueError, match="beam_size"):
-        beam_realize(s, oracle_scorer(s), 0, lexicon)
+        beam_realize(s, OracleScorer(s), 0, lexicon)
 
 
 def test_ngram_scorer_distributions_normalize(toy):
@@ -271,7 +269,7 @@ def test_coverage_diagnostic_flags_unreachable_references(toy):
     assert full.covered_sentences == 12
     # an uncovered sentence is exactly one the oracle decode cannot reproduce
     for s in dataset:
-        result = beam_realize(s, oracle_scorer(s), 1, lexicon)
+        result = beam_realize(s, OracleScorer(s), 1, lexicon)
         sentence_covered = all(
             s.reference_forms[pos] in
             [f for f, _ in lexicon.candidates_for(s.tree.nodes[nid])]

@@ -1,0 +1,198 @@
+"""The beam search against a straightforward reference implementation.
+
+``reference_beam_realize`` materializes a Hypothesis for every candidate
+and sorts them all; ``beam_realize`` must return the same tokens, node
+order and score (bit for bit) and call the scorer with the same
+arguments in the same order, on random trees, lexicons and scorers.
+Coarse integer scorers make many candidates tie, so the tie-break by
+generation order is exercised.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfreal.deptree import ShallowSentence, build_tree
+from surfreal.ngram import BOS, train_ngram
+from surfreal.realizer import (
+    FormLexicon,
+    Hypothesis,
+    NGramScorer,
+    NodeHandle,
+    RealizationResult,
+    Scorer,
+    beam_realize,
+)
+from surfreal.conllu_io import UdSentence
+from toylang import tok
+
+FORMS = ["a", "b", "c", "d", "e"]
+
+
+def reference_beam_realize(
+    sentence: ShallowSentence,
+    scorer: Scorer,
+    beam_size: int,
+    lexicon: FormLexicon,
+) -> RealizationResult:
+    if beam_size < 1:
+        raise ValueError("beam_size must be >= 1")
+    tree = sentence.tree
+    n = tree.size()
+    if n < 1:
+        raise ValueError("sentence has no nodes")
+    cands = {node_id: lexicon.candidates_for(tree.nodes[node_id]) for node_id in tree.node_ids()}
+    handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in tree.node_ids()}
+
+    beam = [Hypothesis(emitted=(), remaining=frozenset(tree.nodes), score=0.0)]
+    slots = [1]
+    for _step in range(n):
+        entries: list[Hypothesis] = []
+        parent_slots: list[int] = []
+        for hyp, parent_slot in zip(beam, slots):
+            history = hyp.forms()
+            for node_id in sorted(hyp.remaining):
+                for form, _count in cands[node_id]:
+                    delta = scorer.score_next(history, form, handles[node_id])
+                    entries.append(
+                        Hypothesis(
+                            emitted=hyp.emitted + ((node_id, form),),
+                            remaining=hyp.remaining - {node_id},
+                            score=hyp.score + delta,
+                        )
+                    )
+                    parent_slots.append(parent_slot)
+        order = sorted(range(len(entries)), key=lambda i: -entries[i].score)  # stable
+
+        # union-find over slots: next_free[s] chases the lowest free slot >= s;
+        # beam_size + 1 is the overflow sentinel meaning "prune"
+        next_free = list(range(beam_size + 2))
+
+        def _free_slot(slot: int) -> int:
+            root = slot
+            while next_free[root] != root:
+                root = next_free[root]
+            while next_free[slot] != root:
+                next_free[slot], slot = root, next_free[slot]
+            return root
+
+        beam, slots = [], []
+        for i in order:
+            slot = _free_slot(parent_slots[i])
+            if slot > beam_size:
+                continue
+            next_free[slot] = slot + 1
+            beam.append(entries[i])
+            slots.append(slot)
+
+    # the kept list is in score order (generation order on ties), so the
+    # first element is the returned argmax
+    best = beam[0]
+    return RealizationResult(
+        tokens=best.forms(),
+        node_order=[node_id for node_id, _ in best.emitted],
+        score=best.score,
+        beam_size=beam_size,
+    )
+
+
+class TableScorer(Scorer):
+    """A pure scorer drawn from a seed: the score depends on the position,
+    the previous form, the node and the form.  ``coarse`` gives integer
+    scores in -2..0, so many candidates tie."""
+
+    def __init__(self, seed: int, coarse: bool):
+        self.seed = seed
+        self.coarse = coarse
+
+    def score_next(self, history, candidate_form, candidate_node) -> float:
+        prev = history[-1] if history else BOS
+        rng = random.Random(
+            f"{self.seed}|{len(history)}|{prev}|{candidate_node.node_id}|{candidate_form}")
+        return float(rng.randint(-2, 0)) if self.coarse else math.log(rng.random() + 1e-3)
+
+
+class RecordingScorer(Scorer):
+    """Passes calls through and records their arguments."""
+
+    def __init__(self, inner: Scorer):
+        self.inner = inner
+        self.calls = []
+
+    def score_next(self, history, candidate_form, candidate_node) -> float:
+        self.calls.append((tuple(history), candidate_form, candidate_node.node_id))
+        return self.inner.score_next(history, candidate_form, candidate_node)
+
+
+@st.composite
+def instances(draw):
+    """A random tree of 1-5 nodes with 1-3 candidate forms per node."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.permutations(range(1, n + 1)))
+    heads = {ids[0]: 0}
+    for k in range(1, n):
+        heads[ids[k]] = ids[draw(st.integers(0, k - 1))]
+    tokens = [tok(i, "_", f"l{i}", "X", "_", heads[i], "dep") for i in range(1, n + 1)]
+    sentence = ShallowSentence(tree=build_tree(UdSentence(tokens=tokens)))
+    by_lemma = {}
+    for i in range(1, n + 1):
+        forms = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=3, unique=True))
+        by_lemma[f"l{i}"] = tuple((form, 1) for form in forms)
+    lexicon = FormLexicon(full={}, by_lemma_upos={}, by_lemma=by_lemma)
+    return sentence, lexicon
+
+
+@st.composite
+def scorers(draw):
+    kind = draw(st.sampled_from(["coarse", "fine", "ngram"]))
+    if kind != "ngram":
+        return TableScorer(draw(st.integers(0, 2**16)), coarse=kind == "coarse")
+    refs = draw(st.lists(st.lists(st.sampled_from(FORMS), min_size=1, max_size=6),
+                         min_size=1, max_size=8))
+    return NGramScorer(train_ngram(refs, order=draw(st.integers(1, 4)), lam=0.6))
+
+
+def exhaustive_beam(sentence, lexicon) -> int:
+    """The number of complete realizations, which no step's hypothesis count exceeds."""
+    nodes = sentence.tree.nodes.values()
+    return math.factorial(len(nodes)) * math.prod(len(lexicon.candidates_for(i)) for i in nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), scorers())
+def test_beam_matches_reference(instance, scorer):
+    sentence, lexicon = instance
+    for beam in (1, 2, 3, 7, exhaustive_beam(sentence, lexicon)):
+        want_scorer, got_scorer = RecordingScorer(scorer), RecordingScorer(scorer)
+        want = reference_beam_realize(sentence, want_scorer, beam, lexicon)
+        got = beam_realize(sentence, got_scorer, beam, lexicon)
+        assert got.tokens == want.tokens
+        assert got.node_order == want.node_order
+        assert got.score == want.score
+        assert got.beam_size == want.beam_size == beam
+        assert got_scorer.calls == want_scorer.calls
+
+
+def reference_context_key(order, history):
+    need = order - 1
+    hist = tuple(history)[-need:] if need else ()
+    return (BOS,) * (need - len(hist)) + hist
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 5),
+       history=st.lists(st.sampled_from(FORMS + ["zz"]), max_size=7),
+       token=st.sampled_from(FORMS + ["zz"]),
+       as_tuple=st.booleans())
+def test_context_key_and_logprob(order, history, token, as_tuple):
+    model = train_ngram([["a", "b", "c"], ["c", "a", "d", "e"], ["b", "b"]], order=order, lam=0.7)
+    hist = tuple(history) if as_tuple else list(history)
+    key = model.context_key(hist)
+    assert key == reference_context_key(order, history)
+    assert len(key) == order - 1
+    got = model.logprob(token, hist)
+    assert got == math.log(model.prob(token, history))
+    assert model.logprob(token, tuple(history)) == got
+    assert model.logprob(token, list(history)) == got
