@@ -18,15 +18,10 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
-from .conllu_io import (
-    ConlluError,
-    parse_conllu,
-    parse_conllu_lenient,
-    serialize_conllu,
-)
+from .conllu_io import ConlluError, parse_conllu, serialize_conllu
 from .deptree import (
     ShallowSentence,
     shallow_from_conllu,
@@ -37,7 +32,8 @@ from .deptree import (
 from .evalsuite import evaluate
 from .linearizer import emit_training_pairs, write_pair_files
 from .ngram import BOS, UNK, NGramModel, train_ngram
-from .realizer import FormLexicon, NGramScorer, beam_realize, build_form_lexicon
+from .parallel import parallel_map
+from .realizer import NGramScorer, beam_realize, build_form_lexicon
 from .synthpipe import FilterPolicy, build_synthetic_dataset, build_vocab
 
 
@@ -72,7 +68,8 @@ def _write_manifest(
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        # bytes, not text mode: universal newlines would hide CRLF from the parser
+        return path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}")
     except UnicodeDecodeError as err:
@@ -205,21 +202,6 @@ def cmd_train_lm(args) -> int:
     return 0
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_realize_worker(model: NGramModel, lexicon: FormLexicon, beam: int) -> None:
-    _WORKER_STATE["scorer"] = NGramScorer(model)
-    _WORKER_STATE["lexicon"] = lexicon
-    _WORKER_STATE["beam"] = beam
-
-
-def _realize_one(shallow: ShallowSentence) -> list[str]:
-    result = beam_realize(shallow, _WORKER_STATE["scorer"], _WORKER_STATE["beam"],
-                          _WORKER_STATE["lexicon"])
-    return result.tokens
-
-
 def cmd_realize(args) -> int:
     dataset = [strip_alignment(s) for s in _load_shallow_dataset(args.in_path, None)]
     try:
@@ -227,14 +209,9 @@ def cmd_realize(args) -> int:
     except ValueError as err:
         raise DataError(str(err))
     lexicon = build_form_lexicon(parse_conllu(_read_text(args.lexicon)))
-    if args.jobs <= 1 or len(dataset) < 2 * args.jobs:
-        _init_realize_worker(model, lexicon, args.beam)
-        realized = [_realize_one(s) for s in dataset]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs,
-                                 initializer=_init_realize_worker,
-                                 initargs=(model, lexicon, args.beam)) as pool:
-            realized = list(pool.map(_realize_one, dataset, chunksize=16))
+    realize = partial(beam_realize, scorer=NGramScorer(model), beam_size=args.beam,
+                      lexicon=lexicon)
+    realized = [result.tokens for result in parallel_map(realize, dataset, args.jobs)]
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -340,13 +317,7 @@ def main(argv=None) -> int:
         return 0 if not exit_.code else 1
     try:
         return args.func(args)
-    except ConlluError as err:
-        print(f"sr: data error: {err}", file=sys.stderr)
-        return 2
-    except DataError as err:
-        print(f"sr: data error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConlluError, DataError, OSError) as err:
         print(f"sr: data error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -14,7 +14,7 @@ Only UTF-8 text with LF line endings is supported.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 EMPTY = "_"
@@ -120,15 +120,17 @@ def misc_with(misc: str, key: str, value: str) -> str:
     return format_pairs(pairs)
 
 
-def misc_without(misc: str, key: str) -> str:
-    pairs = [(k, v) for k, v in parse_pairs(misc) if k != key]
-    return format_pairs(pairs)
+def iter_blocks(text: str) -> Iterator[list[str]]:
+    """Group CoNLL-U text into sentence blocks of lines.
 
-
-def iter_blocks(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Group an iterable of lines (no trailing newlines) into sentence blocks."""
+    A carriage return anywhere is a whole-file format fault (only LF line
+    endings are supported), so it raises :class:`ConlluError` even where
+    malformed blocks would be skipped.
+    """
+    if "\r" in text:
+        raise ConlluError("carriage return found: CoNLL-U input must use LF line endings")
     block: list[str] = []
-    for line in lines:
+    for line in text.split("\n"):
         if line.strip() == "":
             if block:
                 yield block
@@ -216,24 +218,16 @@ def parse_conllu(text: str, strict: bool = True) -> list[UdSentence]:
     """Parse CoNLL-U text into sentences.
 
     In strict mode any malformed block raises :class:`ConlluError`; in
-    lenient mode malformed blocks are silently skipped (use
-    :func:`parse_conllu_lenient` to get the skip count).
+    lenient mode malformed blocks are silently skipped.
     """
-    if strict:
-        return [parse_block(block) for block in iter_blocks(text.split("\n"))]
-    return parse_conllu_lenient(text)[0]
-
-
-def parse_conllu_lenient(text: str) -> tuple[list[UdSentence], int]:
-    """Parse leniently; returns (sentences, number of skipped blocks)."""
     sentences = []
-    skipped = 0
-    for block in iter_blocks(text.split("\n")):
+    for block in iter_blocks(text):
         try:
             sentences.append(parse_block(block))
         except ConlluError:
-            skipped += 1
-    return sentences, skipped
+            if strict:
+                raise
+    return sentences
 
 
 def sentence_lines(sentence: UdSentence) -> list[str]:
@@ -261,26 +255,3 @@ def serialize_conllu(sentences: Iterable[UdSentence]) -> str:
     if not out:
         return ""
     return "\n".join(out) + "\n"
-
-
-def read_conllu_file(path, strict: bool = True) -> list[UdSentence]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_conllu(fh.read(), strict=strict)
-
-
-def write_conllu_file(path, sentences: Iterable[UdSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_conllu(sentences))
-
-
-def copy_sentence(sentence: UdSentence, tokens: list[UdToken] | None = None) -> UdSentence:
-    """Shallow copy, optionally with a replacement token list."""
-    return UdSentence(
-        tokens=list(sentence.tokens) if tokens is None else tokens,
-        comments=list(sentence.comments),
-        ignored_lines=list(sentence.ignored_lines),
-    )
-
-
-def replace_token(token: UdToken, **changes) -> UdToken:
-    return replace(token, **changes)

@@ -10,17 +10,9 @@ aside as the aligned reference.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .conllu_io import (
-    EMPTY,
-    ConlluError,
-    UdSentence,
-    UdToken,
-    misc_get,
-    misc_with,
-    misc_without,
-)
+from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get, misc_with
 
 ALIGN_KEY = "original_id"
 
@@ -186,14 +178,3 @@ def shallow_from_conllu(
         if positions != list(range(len(sentence.tokens))):
             raise ConlluError("original_id values are not a permutation of 1..n")
     return ShallowSentence(tree=tree, reference_forms=reference_forms, alignment=alignment)
-
-
-def strip_alignment_conllu(sentence: UdSentence) -> UdSentence:
-    """Remove ``original_id`` MISC entries from an encoded instance."""
-    tokens = [
-        t if misc_get(t.misc, ALIGN_KEY) is None
-        else replace(t, misc=misc_without(t.misc, ALIGN_KEY))
-        for t in sentence.tokens
-    ]
-    return UdSentence(tokens=tokens, comments=list(sentence.comments),
-                      ignored_lines=list(sentence.ignored_lines))

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Iterable
 
 from .conllu_io import UdSentence
+from .parallel import parallel_map
 
 MAX_ORDER = 4
 DEFAULT_BOUNDARIES = (10, 20, 30, 40, 50, 60)
@@ -208,17 +210,20 @@ def bucket_labels(boundaries: tuple[int, ...] | list[int]) -> list[str]:
     return labels
 
 
-def _bucket_sums(
-    pairs: list[tuple[list[str], list[str]]], boundaries
-) -> tuple[list[BleuCounts], list[int]]:
-    n_buckets = len(boundaries) + 1
-    sums = [BleuCounts() for _ in range(n_buckets)]
-    counts = [0] * n_buckets
-    for hyp, ref in pairs:
-        idx = sum(1 for b in boundaries if len(ref) >= b)
-        sums[idx] = sums[idx] + pair_counts(hyp, ref)
+def _bucket_rows(scored: Iterable[tuple[int, BleuCounts]], boundaries) -> list[BucketRow]:
+    """Sum (reference length, pair counts) items into one row per length bucket."""
+    labels = bucket_labels(boundaries)
+    sums = [BleuCounts() for _ in labels]
+    counts = [0] * len(labels)
+    for ref_len, pair in scored:
+        idx = sum(1 for b in boundaries if ref_len >= b)
+        sums[idx] = sums[idx] + pair
         counts[idx] += 1
-    return sums, counts
+    return [
+        BucketRow(label=label, count=counts[i], counts=sums[i],
+                  bleu=sums[i].score() if counts[i] else None)
+        for i, label in enumerate(labels)
+    ]
 
 
 def bucket_report(
@@ -228,12 +233,7 @@ def bucket_report(
     """Corpus BLEU per reference-length bucket; empty buckets score None."""
     if list(boundaries) != sorted(set(boundaries)):
         raise ValueError("boundaries must be strictly increasing")
-    sums, counts = _bucket_sums(pairs, boundaries)
-    return [
-        BucketRow(label=label, count=counts[i], counts=sums[i],
-                  bleu=sums[i].score() if counts[i] else None)
-        for i, label in enumerate(bucket_labels(boundaries))
-    ]
+    return _bucket_rows(((len(ref), pair_counts(hyp, ref)) for hyp, ref in pairs), boundaries)
 
 
 @dataclass
@@ -268,24 +268,16 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_chunk(
-    hyps: list[list[str]],
-    ref_sents: list[UdSentence],
-    mode: str,
-    table: dict[str, str],
-    boundaries: tuple[int, ...],
-) -> tuple[list[BleuCounts], list[int], Counter]:
-    """Per-chunk statistics; merging chunks is field-wise addition."""
-    refs = [s.forms() for s in ref_sents]
+def _eval_pair(
+    pair: tuple[list[str], UdSentence], mode: str, table: dict[str, str]
+) -> tuple[int, BleuCounts, ErrorCategory]:
+    """Reference length and BLEU counts (in ``mode``) plus the error class of one pair."""
+    hyp, ref_sentence = pair
+    category = classify_output(hyp, ref_sentence, extra_lemmas=table)
+    ref = ref_sentence.forms()
     if mode == "detokenized":
-        pairs = [(detokenize(h).split(), detokenize(r).split()) for h, r in zip(hyps, refs)]
-    else:
-        pairs = list(zip(hyps, refs))
-    sums, counts = _bucket_sums(pairs, boundaries)
-    errors = Counter(
-        classify_output(hyp, ref, extra_lemmas=table) for hyp, ref in zip(hyps, ref_sents)
-    )
-    return sums, counts, errors
+        hyp, ref = detokenize(hyp).split(), detokenize(ref).split()
+    return len(ref), pair_counts(hyp, ref), category
 
 
 def evaluate(
@@ -301,8 +293,9 @@ def evaluate(
     given; detokenized renders both sides with :func:`detokenize` and
     compares the whitespace split.  Error classification is defined on
     tokenized text (exact match means the tokenized sentences agree), so
-    it ignores the mode.  ``jobs`` splits the corpus into chunks whose
-    statistics merge by addition; results do not depend on it.
+    it ignores the mode.  ``jobs`` is the number of worker processes
+    scoring the pairs (see :func:`surfreal.parallel.parallel_map`);
+    results do not depend on it.
     """
     if mode not in ("tokenized", "detokenized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,42 +307,14 @@ def evaluate(
     table = corpus_lemma_table(ref_corpus)
     if extra_lemmas:
         table.update(extra_lemmas)
-    boundaries = DEFAULT_BOUNDARIES
-
-    if jobs <= 1 or len(hyps) < 2 * jobs:
-        chunks = [_eval_chunk(hyps, ref_corpus, mode, table, boundaries)]
-    else:
-        size = (len(hyps) + jobs - 1) // jobs
-        spans = [(i, min(i + size, len(hyps))) for i in range(0, len(hyps), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(
-                pool.map(
-                    _eval_chunk,
-                    [hyps[a:b] for a, b in spans],
-                    [ref_corpus[a:b] for a, b in spans],
-                    [mode] * len(spans),
-                    [table] * len(spans),
-                    [boundaries] * len(spans),
-                )
-            )
-
-    n_buckets = len(boundaries) + 1
-    sums = [BleuCounts() for _ in range(n_buckets)]
-    counts = [0] * n_buckets
-    errors: Counter = Counter()
-    for chunk_sums, chunk_counts, chunk_errors in chunks:
-        sums = [a + b for a, b in zip(sums, chunk_sums)]
-        counts = [a + b for a, b in zip(counts, chunk_counts)]
-        errors.update(chunk_errors)
-
+    scored = parallel_map(partial(_eval_pair, mode=mode, table=table),
+                          zip(hyps, ref_corpus), jobs)
+    rows = _bucket_rows(((ref_len, counts) for ref_len, counts, _ in scored),
+                        DEFAULT_BOUNDARIES)
+    errors = Counter(category for _, _, category in scored)
     corpus = BleuCounts()
-    for s in sums:
-        corpus = corpus + s
-    rows = [
-        BucketRow(label=label, count=counts[i], counts=sums[i],
-                  bleu=sums[i].score() if counts[i] else None)
-        for i, label in enumerate(bucket_labels(boundaries))
-    ]
+    for row in rows:
+        corpus = corpus + row.counts
     return EvalReport(
         corpus_bleu=corpus.score(),
         bucket_bleu=rows,

@@ -96,9 +96,9 @@ def append_form_list(seq: LinearSeq, lexicon, tree: DepTree) -> LinearSeq:
     segments: list[list[str]] = []
     for node_id in seq.node_order():
         info = tree.nodes[node_id]
-        if not lexicon.is_relevant(info.lemma, info.upos):
+        forms = lexicon.relevant_forms(info.lemma, info.upos)
+        if not forms:
             continue
-        forms = lexicon.forms_for_lemma_upos(info.lemma, info.upos)
         segment = [escape_token(info.lemma), SEGMENT_EQ]
         for i, (form, _count) in enumerate(forms):
             if i:

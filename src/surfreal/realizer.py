@@ -59,18 +59,10 @@ class FormLexicon:
     def candidates_for(self, info: NodeInfo) -> tuple[tuple[str, int], ...]:
         return self.candidates(info.lemma, info.upos, info.feats)
 
-    def is_relevant(self, lemma: str, upos: str) -> bool:
-        """True when the (lemma, upos) pair has at least two observed forms."""
-        hit = self.by_lemma_upos.get((lemma.lower(), upos))
-        return hit is not None and len(hit) >= 2
-
-    def forms_for_lemma_upos(self, lemma: str, upos: str) -> tuple[tuple[str, int], ...]:
-        hit = self.by_lemma_upos.get((lemma.lower(), upos))
-        if hit is None:
-            hit = self.by_lemma.get(lemma.lower())
-        if hit is None:
-            hit = ((lemma, 1),)
-        return hit
+    def relevant_forms(self, lemma: str, upos: str) -> tuple[tuple[str, int], ...]:
+        """The (lemma, upos) pair's observed forms when it has at least two, else ()."""
+        hit = self.by_lemma_upos.get((lemma.lower(), upos), ())
+        return hit if len(hit) >= 2 else ()
 
 
 def build_form_lexicon(gold: list[UdSentence]) -> FormLexicon:

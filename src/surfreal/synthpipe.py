@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable
 
 from .conllu_io import ConlluError, UdSentence, iter_blocks, parse_block
 from .deptree import ShallowSentence, shallow_transform
+from .parallel import parallel_map
 
 REASON_LENGTH = "length"
 REASON_OVERLAP = "overlap"
+REASON_MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,6 @@ class SynthStats:
     rejected_by_overlap: int = 0
     rejected_malformed: int = 0
 
-    def add(self, other: "SynthStats") -> None:
-        self.input_count += other.input_count
-        self.kept_count += other.kept_count
-        self.rejected_by_length += other.rejected_by_length
-        self.rejected_by_overlap += other.rejected_by_overlap
-        self.rejected_malformed += other.rejected_malformed
-
     def reconciles(self) -> bool:
         return self.input_count == (
             self.kept_count
@@ -124,30 +119,15 @@ def nfc_sentence(sentence: UdSentence) -> UdSentence:
                       ignored_lines=list(sentence.ignored_lines))
 
 
-def _sift_blocks(
-    blocks: list[list[str]], vocab: Vocabulary, policy: FilterPolicy
-) -> tuple[list[UdSentence], SynthStats]:
-    """Parse, normalize, and filter one batch of sentence blocks."""
-    stats = SynthStats()
-    kept: list[UdSentence] = []
-    for block in blocks:
-        stats.input_count += 1
-        try:
-            sentence = parse_block(block)
-        except ConlluError:
-            stats.rejected_malformed += 1
-            continue
-        sentence = nfc_sentence(sentence)
-        decision = filter_sentence(sentence.forms(), vocab, policy)
-        if not decision.keep:
-            if decision.reason == REASON_LENGTH:
-                stats.rejected_by_length += 1
-            else:
-                stats.rejected_by_overlap += 1
-            continue
-        stats.kept_count += 1
-        kept.append(sentence)
-    return kept, stats
+def _sift_block(block: list[str], vocab: Vocabulary, policy: FilterPolicy) -> UdSentence | str:
+    """Parse, normalize and filter one block: the sentence, or why it was rejected."""
+    try:
+        sentence = parse_block(block)
+    except ConlluError:
+        return REASON_MALFORMED
+    sentence = nfc_sentence(sentence)
+    decision = filter_sentence(sentence.forms(), vocab, policy)
+    return sentence if decision.keep else decision.reason
 
 
 def build_synthetic_dataset(
@@ -163,20 +143,14 @@ def build_synthetic_dataset(
     is transformed with seed rng_seed + i, so results do not depend on
     the number of worker processes.
     """
-    blocks = list(iter_blocks(text.split("\n")))
-    stats = SynthStats()
-    kept: list[UdSentence] = []
-    if jobs <= 1 or len(blocks) < 2 * jobs:
-        kept, stats = _sift_blocks(blocks, vocab, policy)
-    else:
-        chunk = (len(blocks) + jobs - 1) // jobs
-        shards = [blocks[i : i + chunk] for i in range(0, len(blocks), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for shard_kept, shard_stats in pool.map(
-                _sift_blocks, shards, [vocab] * len(shards), [policy] * len(shards)
-            ):
-                kept.extend(shard_kept)
-                stats.add(shard_stats)
+    sifted = parallel_map(partial(_sift_block, vocab=vocab, policy=policy),
+                          iter_blocks(text), jobs)
+    kept = [s for s in sifted if isinstance(s, UdSentence)]
+    reasons = Counter(s for s in sifted if isinstance(s, str))
+    stats = SynthStats(input_count=len(sifted), kept_count=len(kept),
+                       rejected_by_length=reasons[REASON_LENGTH],
+                       rejected_by_overlap=reasons[REASON_OVERLAP],
+                       rejected_malformed=reasons[REASON_MALFORMED])
     dataset = [shallow_transform(s, rng_seed + i) for i, s in enumerate(kept)]
     assert stats.reconciles()
     return dataset, stats

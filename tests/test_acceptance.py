@@ -195,7 +195,7 @@ def test_criterion_5_synth_conformance():
             assert in_vocab / n >= 0.8
 
         kept_originals = []
-        for block in iter_blocks(text.split("\n")):
+        for block in iter_blocks(text):
             try:
                 parsed = nfc_sentence(parse_block(block))
             except ConlluError:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +242,62 @@ def test_data_errors(tmp_path):
         bad_refs.write_text(text, encoding="utf-8")
         assert main(["train-lm", "--refs", str(bad_refs),
                      "--out", str(tmp_path / f"lm_{name}.ngrams")]) == 2, name
+    crlf = tmp_path / "crlf.conllu"
+    crlf.write_bytes(good.replace("\n", "\r\n").encode("utf-8"))
+    assert main(["make-dataset", "--in", str(crlf), "--out", str(tmp_path / "d6")]) == 2
+    assert main(["make-dataset", "--in", str(crlf), "--out", str(tmp_path / "d7"),
+                 "--lenient"]) == 2
+    assert main(["synth", "--in", str(crlf), "--vocab-from", str(gold),
+                 "--out", str(tmp_path / "s")]) == 2
+
+
+def _run_sr(args: list[str], hashseed: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "surfreal.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path):
+    """The walkthrough in fresh interpreters at --jobs 1 / PYTHONHASHSEED=0 and at
+    --jobs 3 / PYTHONHASHSEED=1 writes the same bytes; manifests differ only in jobs."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_conllu(ToyLang(seed=31).corpus(30, kind="mixed")),
+                    encoding="utf-8")
+    parsed = tmp_path / "parsed.conllu"
+    parsed.write_text(noisy_corpus_text(seed=32, n=40), encoding="utf-8")
+    # at least two items per job, so synth, realize and eval all use worker processes
+    assert len(parse_conllu(parsed.read_text(encoding="utf-8"), strict=False)) >= 6
+
+    runs = []
+    for jobs, hashseed in (("1", "0"), ("3", "1")):
+        out = tmp_path / f"jobs{jobs}"
+        _run_sr(["make-dataset", "--in", str(gold), "--out", str(out / "gold")], hashseed)
+        _run_sr(["synth", "--in", str(parsed), "--vocab-from", str(gold), "--min-count", "1",
+                 "--out", str(out / "synth"), "--jobs", jobs], hashseed)
+        _run_sr(["train-lm", "--refs", str(out / "gold" / "refs.txt"),
+                 "--out", str(out / "lm.ngrams")], hashseed)
+        _run_sr(["realize", "--in", str(out / "gold" / "shallow.stripped.conllu"),
+                 "--lm", str(out / "lm.ngrams"), "--lexicon", str(gold), "--beam", "4",
+                 "--out", str(out / "hyp.txt"), "--jobs", jobs], hashseed)
+        table = _run_sr(["eval", "--hyp", str(out / "hyp.txt"), "--ref", str(gold),
+                         "--out", str(out / "report.txt"), "--jobs", jobs], hashseed)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((jobs, table, files))
+
+    (_, table1, files1), (_, table3, files3) = runs
+    assert table1 == table3
+    assert set(files1) == set(files3)
+    assert "synth/synth.conllu" in files1 and "report.txt" in files1
+    for name, data in files1.items():
+        if not name.endswith("manifest.json"):
+            assert data == files3[name], name
+            continue
+        one, three = json.loads(data), json.loads(files3[name])
+        if "jobs" in one["config"]:
+            assert (one["config"].pop("jobs"), three["config"].pop("jobs")) == (1, 3), name
+        assert one == three, name

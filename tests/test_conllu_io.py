@@ -4,10 +4,9 @@ from surfreal.conllu_io import (
     ConlluError,
     UdSentence,
     misc_get,
+    iter_blocks,
     misc_with,
-    misc_without,
     parse_conllu,
-    parse_conllu_lenient,
     parse_pairs,
     serialize_conllu,
 )
@@ -86,11 +85,9 @@ def test_cycle_detection():
 
 def test_lenient_mode_counts_skips(fixture_text):
     broken = fixture_text + "1\tA\ta\tX\t_\t_\t1\tdep\t_\t_\n\n"
-    sentences, skipped = parse_conllu_lenient(broken)
+    sentences = parse_conllu(broken, strict=False)
     assert len(sentences) == 4
-    assert skipped == 1
-    # lenient parse through the public entry point too
-    assert len(parse_conllu(broken, strict=False)) == 4
+    assert len(list(iter_blocks(broken))) - len(sentences) == 1
 
 
 def test_feats_misc_round_trip_preserves_order():
@@ -109,5 +106,3 @@ def test_misc_helpers():
     assert misc_get(misc, "nope") is None
     stacked = misc_with(misc, "SpaceAfter", "No")
     assert misc_get(stacked, "SpaceAfter") == "No"
-    assert misc_without(stacked, "original_id") == "SpaceAfter=No"
-    assert misc_without("_", "x") == "_"

@@ -9,7 +9,6 @@ from surfreal.deptree import (
     shallow_to_conllu,
     shallow_transform,
     strip_alignment,
-    strip_alignment_conllu,
 )
 from toylang import ToyLang, tok
 
@@ -138,16 +137,6 @@ def test_shallow_conllu_serialization_parses_back(toy):
     parsed = parse_conllu(text)
     for original, row in zip(dataset, parsed):
         assert shallow_from_conllu(row).alignment == original.alignment
-
-
-def test_strip_alignment_conllu_drops_only_the_alignment_key(toy):
-    shallow = shallow_transform(toy.sentence("short"), seed=2)
-    encoded = shallow_to_conllu(shallow)
-    stripped = strip_alignment_conllu(encoded)
-    assert all(misc_get(t.misc, "original_id") is None for t in stripped.tokens)
-    assert [t.lemma for t in stripped.tokens] == [t.lemma for t in encoded.tokens]
-    decoded = shallow_from_conllu(stripped)
-    assert decoded.alignment is None
 
 
 def test_shallow_from_conllu_rejects_corrupt_alignment():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfreal.evalsuite import (
     BleuCounts,
@@ -267,6 +269,32 @@ def test_bucket_counts_aggregate_to_corpus_totals():
         agg = agg + row.counts
     assert sum(row.count for row in rows) == 60
     assert agg.score() == bleu4(hyps, refs)
+
+
+def _as_reference(forms: list[str]) -> UdSentence:
+    return UdSentence(tokens=[tok(i, form, form, "X", "_", 0 if i == 1 else 1,
+                                  "root" if i == 1 else "dep")
+                              for i, form in enumerate(forms, start=1)])
+
+
+_tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "."]), min_size=1, max_size=70)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_tokens, _tokens), min_size=1, max_size=12))
+def test_evaluate_buckets_are_bucket_report(pairs):
+    hyps = [hyp for hyp, _ in pairs]
+    report = evaluate(hyps, [_as_reference(ref) for _, ref in pairs])
+    assert report.bucket_bleu == bucket_report(pairs)
+    summed = BleuCounts()
+    for row in report.bucket_bleu:
+        summed = summed + row.counts
+    corpus = BleuCounts()
+    for hyp, ref in pairs:
+        corpus = corpus + pair_counts(hyp, ref)
+    assert summed == corpus
+    assert sum(row.count for row in report.bucket_bleu) == len(pairs)
+    assert report.corpus_bleu == corpus.score() == bleu4(hyps, [ref for _, ref in pairs])
 
 
 # --- evaluate -----------------------------------------------------------

@@ -34,7 +34,7 @@ def test_lexicon_counts_both_clitic_spellings():
     lexicon = build_form_lexicon(gold)
     be = gold[0].tokens[1]
     assert lexicon.candidates(be.lemma, be.upos, be.feats) == (("am", 3), ("'m", 1))
-    assert lexicon.is_relevant("be", "AUX")
+    assert lexicon.relevant_forms("be", "AUX")
 
 
 def test_lexicon_fallback_chain():
@@ -54,7 +54,7 @@ def test_lexicon_fallback_chain():
     assert lexicon.candidates("zyzzyva", "NOUN", "_") == (("zyzzyva", 1),)
     # lemma lookups are case-insensitive
     assert lexicon.candidates("Run", "VERB", "Tense=Past") == (("ran", 1),)
-    assert not lexicon.is_relevant("zyzzyva", "NOUN")
+    assert not lexicon.relevant_forms("zyzzyva", "NOUN")
 
 
 def simple_shallow(toy=None, seed=0, kind="medium"):

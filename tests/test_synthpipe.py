@@ -121,7 +121,7 @@ def oracle_sift(text: str, vocab_tokens: set, policy: FilterPolicy):
     """One-pass reimplementation of parse+normalize+filter for cross-checking."""
     kept = []
     total = by_len = by_ov = bad = 0
-    for block in iter_blocks(text.split("\n")):
+    for block in iter_blocks(text):
         total += 1
         try:
             parsed = parse_block(block)
