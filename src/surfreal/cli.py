@@ -28,6 +28,8 @@ from .deptree import (
     shallow_to_conllu,
     shallow_transform,
     strip_alignment,
+    strip_alignment_text,
+    unwritable_form,
 )
 from .evalsuite import evaluate
 from .linearizer import emit_training_pairs, write_pair_files
@@ -87,11 +89,10 @@ def _write_shallow_outputs(out_dir: Path, dataset: list[ShallowSentence],
     aligned = out_dir / f"{stem}.conllu"
     stripped = out_dir / f"{stem}.stripped.conllu"
     refs = out_dir / "refs.txt"
-    aligned.write_text(serialize_conllu(shallow_to_conllu(s) for s in dataset),
-                       encoding="utf-8")
-    stripped.write_text(
-        serialize_conllu(shallow_to_conllu(strip_alignment(s)) for s in dataset),
-        encoding="utf-8")
+    text = serialize_conllu(shallow_to_conllu(s) for s in dataset)
+    aligned.write_text(text, encoding="utf-8")
+    text = strip_alignment_text(text)  # drops the aligned text before the write
+    stripped.write_text(text, encoding="utf-8")
     refs.write_text("".join(" ".join(s.reference_forms) + "\n" for s in dataset),
                     encoding="utf-8")
     return [aligned, stripped, refs]
@@ -105,6 +106,12 @@ def cmd_make_dataset(args) -> int:
     sentences = parse_conllu(text, strict=not args.lenient)
     if not sentences:
         raise DataError(f"no sentences in {args.in_path}")
+    for number, sentence in enumerate(sentences, 1):
+        token = unwritable_form(sentence)
+        if token is not None:
+            raise DataError(f"{args.in_path}: sentence {number}, token {token.id}: form "
+                            f"{token.form!r} is empty or holds whitespace, which refs.txt "
+                            "cannot carry")
     dataset = [shallow_transform(s, args.seed + i) for i, s in enumerate(sentences)]
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "shallow")

@@ -21,7 +21,6 @@ EMPTY = "_"
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _DECIMAL_ID = re.compile(r"^\d+\.\d+$")
-_INT_ID = re.compile(r"^\d+$")
 
 
 class ConlluError(ValueError):
@@ -101,23 +100,11 @@ def parse_pairs(column: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
-    parts = [f"{k}={v}" if v else k for k, v in pairs]
-    return "|".join(parts) if parts else EMPTY
-
-
 def misc_get(misc: str, key: str) -> str | None:
     for k, v in parse_pairs(misc):
         if k == key:
             return v
     return None
-
-
-def misc_with(misc: str, key: str, value: str) -> str:
-    """Return ``misc`` with ``key=value`` set, replacing any existing key."""
-    pairs = [(k, v) for k, v in parse_pairs(misc) if k != key]
-    pairs.append((key, value))
-    return format_pairs(pairs)
 
 
 def iter_blocks(text: str) -> Iterator[list[str]]:
@@ -142,7 +129,8 @@ def iter_blocks(text: str) -> Iterator[list[str]]:
 
 
 def parse_block(lines: list[str]) -> UdSentence:
-    """Parse one sentence block; raises ConlluError on any violation."""
+    """Parse one sentence block (lines without their newlines, as
+    :func:`iter_blocks` yields them); raises ConlluError on any violation."""
     comments: list[str] = []
     ignored: list[tuple[int, str]] = []
     tokens: list[UdToken] = []
@@ -156,28 +144,17 @@ def parse_block(lines: list[str]) -> UdSentence:
         cols = line.split("\t")
         if len(cols) != 10:
             raise ConlluError(f"expected 10 columns, got {len(cols)}: {line!r}")
-        tok_id = cols[0]
-        if _RANGE_ID.match(tok_id) or _DECIMAL_ID.match(tok_id):
-            ignored.append((len(tokens), line))
-            continue
-        if not _INT_ID.match(tok_id):
+        tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
+        # isdecimal() accepts exactly the Unicode digit strings \d+ matches
+        if not tok_id.isdecimal():
+            if _RANGE_ID.match(tok_id) or _DECIMAL_ID.match(tok_id):
+                ignored.append((len(tokens), line))
+                continue
             raise ConlluError(f"non-integer token id {tok_id!r}")
-        if not _INT_ID.match(cols[6]):
-            raise ConlluError(f"non-integer head {cols[6]!r} for token {tok_id}")
-        tokens.append(
-            UdToken(
-                id=int(tok_id),
-                form=cols[1],
-                lemma=cols[2],
-                upos=cols[3],
-                xpos=cols[4],
-                feats=cols[5],
-                head=int(cols[6]),
-                deprel=cols[7],
-                deps=cols[8],
-                misc=cols[9],
-            )
-        )
+        if not head.isdecimal():
+            raise ConlluError(f"non-integer head {head!r} for token {tok_id}")
+        tokens.append(UdToken(int(tok_id), form, lemma, upos, xpos, feats, int(head),
+                              deprel, deps, misc))
     sentence = UdSentence(tokens=tokens, comments=comments, ignored_lines=ignored)
     validate_sentence(sentence)
     return sentence
@@ -190,27 +167,25 @@ def validate_sentence(sentence: UdSentence) -> None:
     n = len(tokens)
     if n == 0:
         raise ConlluError("sentence has no token rows")
+    children: list[list[int]] = [[] for _ in range(n + 1)]
     for i, t in enumerate(tokens, start=1):
         if t.id != i:
             raise ConlluError(f"token ids must be 1..{n} in order, found {t.id} at row {i}")
-        if t.head == t.id:
-            raise ConlluError(f"token {t.id} has itself as head")
-        if t.head > n:
-            raise ConlluError(f"token {t.id} has dangling head {t.head}")
-    roots = [t.id for t in tokens if t.head == 0]
-    if len(roots) != 1:
-        raise ConlluError(f"expected exactly one root, found {len(roots)}")
-    # reachability from the root rules out cycles among non-root nodes
-    children: dict[int, list[int]] = {}
-    for t in tokens:
-        children.setdefault(t.head, []).append(t.id)
-    seen = set()
-    stack = [roots[0]]
+        if t.head == i:
+            raise ConlluError(f"token {i} has itself as head")
+        if not 0 <= t.head <= n:
+            raise ConlluError(f"token {i} has dangling head {t.head}")
+        children[t.head].append(i)
+    if len(children[0]) != 1:
+        raise ConlluError(f"expected exactly one root, found {len(children[0])}")
+    # every token has one head, so a walk down from the root meets each token
+    # at most once, and meets all n exactly when there is no cycle
+    stack = list(children[0])
+    reached = 0
     while stack:
-        node = stack.pop()
-        seen.add(node)
-        stack.extend(children.get(node, ()))
-    if len(seen) != n:
+        reached += 1
+        stack.extend(children[stack.pop()])
+    if reached != n:
         raise ConlluError("tree contains a cycle (not all tokens reachable from root)")
 
 
@@ -231,14 +206,17 @@ def parse_conllu(text: str, strict: bool = True) -> list[UdSentence]:
 
 
 def sentence_lines(sentence: UdSentence) -> list[str]:
+    rows = [t.to_line() for t in sentence.tokens]
+    if not sentence.ignored_lines:
+        return sentence.comments + rows
     lines = list(sentence.comments)
     by_anchor: dict[int, list[str]] = {}
     for anchor, line in sentence.ignored_lines:
         by_anchor.setdefault(anchor, []).append(line)
-    for i in range(len(sentence.tokens) + 1):
+    for i in range(len(rows) + 1):
         lines.extend(by_anchor.get(i, ()))
-        if i < len(sentence.tokens):
-            lines.append(sentence.tokens[i].to_line())
+        if i < len(rows):
+            lines.append(rows[i])
     return lines
 
 

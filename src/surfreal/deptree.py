@@ -10,11 +10,14 @@ aside as the aligned reference.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
-from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get, misc_with
+from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
 
 ALIGN_KEY = "original_id"
+# a MISC column as shallow_to_conllu writes it when there is an alignment
+_ALIGNED_MISC = re.compile(rf"\t{ALIGN_KEY}=\d+$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -91,21 +94,20 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     n = len(sentence.tokens)
     perm = list(range(1, n + 1))
     random.Random(seed).shuffle(perm)
-    # token at original position i (id i+1) is renamed to perm[i]
-    rename = {i + 1: perm[i] for i in range(n)}
 
+    # the token with id i is renamed to perm[i - 1]
     nodes = {}
     children: dict[int, list[int]] = {}
     root = None
     alignment = {}
     for i, t in enumerate(sentence.tokens):
-        new_id = rename[t.id]
-        nodes[new_id] = NodeInfo(lemma=t.lemma, upos=t.upos, feats=t.feats, deprel=t.deprel)
+        new_id = perm[t.id - 1]
+        nodes[new_id] = NodeInfo(t.lemma, t.upos, t.feats, t.deprel)
         alignment[new_id] = i
         if t.head == 0:
             root = new_id
         else:
-            children.setdefault(rename[t.head], []).append(new_id)
+            children.setdefault(perm[t.head - 1], []).append(new_id)
     assert root is not None
     tree = DepTree(root=root, nodes=nodes, children=children)
     return ShallowSentence(
@@ -113,6 +115,15 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
         reference_forms=tuple(t.form for t in sentence.tokens),
         alignment=alignment,
     )
+
+
+def unwritable_form(sentence: UdSentence) -> UdToken | None:
+    """The first token whose form a space-separated reference line cannot
+    carry (an empty form, or one holding whitespace), else None."""
+    forms = sentence.forms()
+    if " ".join(forms).split() == forms:
+        return None
+    return next(t for t in sentence.tokens if t.form.split() != [t.form])
 
 
 def strip_alignment(shallow: ShallowSentence) -> ShallowSentence:
@@ -127,31 +138,22 @@ def shallow_to_conllu(shallow: ShallowSentence) -> UdSentence:
     is present each row carries ``original_id=<refpos+1>`` in MISC.
     """
     tree = shallow.tree
-    parent = {}
-    for head, kids in tree.children.items():
-        for k in kids:
-            parent[k] = head
+    alignment = shallow.alignment
+    parent = {kid: head for head, kids in tree.children.items() for kid in kids}
     tokens = []
     for node_id in tree.node_ids():
         info = tree.nodes[node_id]
-        misc = EMPTY
-        if shallow.alignment is not None:
-            misc = misc_with(EMPTY, ALIGN_KEY, str(shallow.alignment[node_id] + 1))
-        tokens.append(
-            UdToken(
-                id=node_id,
-                form=EMPTY,
-                lemma=info.lemma,
-                upos=info.upos,
-                xpos=EMPTY,
-                feats=info.feats,
-                head=parent.get(node_id, 0),
-                deprel=info.deprel,
-                deps=EMPTY,
-                misc=misc,
-            )
-        )
+        misc = EMPTY if alignment is None else f"{ALIGN_KEY}={alignment[node_id] + 1}"
+        tokens.append(UdToken(node_id, EMPTY, info.lemma, info.upos, EMPTY, info.feats,
+                              parent.get(node_id, 0), info.deprel, EMPTY, misc))
     return UdSentence(tokens=tokens)
+
+
+def strip_alignment_text(text: str) -> str:
+    """Serialized :func:`shallow_to_conllu` output as it would be without
+    alignment: each ``original_id`` MISC column becomes ``_``, the same text
+    that encoding ``strip_alignment(s)`` gives, without a second encode."""
+    return _ALIGNED_MISC.sub("\t_", text)
 
 
 def shallow_from_conllu(

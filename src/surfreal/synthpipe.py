@@ -1,6 +1,7 @@
 """Synthetic shallow-task data from parsed unlabeled corpora.
 
-A parsed corpus is read leniently (malformed blocks are counted, not
+A parsed corpus is read leniently (malformed blocks, and blocks with a
+form that a space-separated reference line cannot carry, are counted, not
 fatal), Unicode-normalized to NFC, filtered by sentence length and by
 surface-vocabulary overlap against the original dataset, and the
 survivors are shallow-transformed with per-sentence derived seeds.
@@ -10,14 +11,14 @@ exactly one reason.
 
 from __future__ import annotations
 
-import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
+from unicodedata import is_normalized, normalize
 
-from .conllu_io import ConlluError, UdSentence, iter_blocks, parse_block
-from .deptree import ShallowSentence, shallow_transform
+from .conllu_io import ConlluError, UdSentence, UdToken, iter_blocks, parse_block
+from .deptree import ShallowSentence, shallow_transform, unwritable_form
 from .parallel import parallel_map
 
 REASON_LENGTH = "length"
@@ -110,9 +111,11 @@ class SynthStats:
 
 
 def nfc_sentence(sentence: UdSentence) -> UdSentence:
+    """NFC-normalize every form and lemma; tokens already in NFC are kept as they are."""
     tokens = [
-        replace(t, form=unicodedata.normalize("NFC", t.form),
-                lemma=unicodedata.normalize("NFC", t.lemma))
+        t if is_normalized("NFC", t.form) and is_normalized("NFC", t.lemma)
+        else UdToken(t.id, normalize("NFC", t.form), normalize("NFC", t.lemma), t.upos,
+                     t.xpos, t.feats, t.head, t.deprel, t.deps, t.misc)
         for t in sentence.tokens
     ]
     return UdSentence(tokens=tokens, comments=list(sentence.comments),
@@ -126,6 +129,8 @@ def _sift_block(block: list[str], vocab: Vocabulary, policy: FilterPolicy) -> Ud
     except ConlluError:
         return REASON_MALFORMED
     sentence = nfc_sentence(sentence)
+    if unwritable_form(sentence) is not None:
+        return REASON_MALFORMED
     decision = filter_sentence(sentence.forms(), vocab, policy)
     return sentence if decision.keep else decision.reason
 

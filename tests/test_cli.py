@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -198,7 +199,7 @@ def test_usage_errors(tmp_path):
                  "--out", str(tmp_path / "s"), "--overlap", "1.5"]) == 1
 
 
-def test_data_errors(tmp_path):
+def test_data_errors(tmp_path, capsys):
     good = serialize_conllu(ToyLang(seed=2).corpus(4))
     gold = tmp_path / "g.conllu"
     gold.write_text(good, encoding="utf-8")
@@ -249,6 +250,37 @@ def test_data_errors(tmp_path):
                  "--lenient"]) == 2
     assert main(["synth", "--in", str(crlf), "--vocab-from", str(gold),
                  "--out", str(tmp_path / "s")]) == 2
+    spaced = tmp_path / "spaced.conllu"
+    spaced.write_text(good + "1\tNew York\tNew York\tPROPN\t_\t_\t2\tnsubj\t_\t_\n"
+                      "2\tsleeps\tsleep\tVERB\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+    capsys.readouterr()
+    for lenient in ([], ["--lenient"]):
+        assert main(["make-dataset", "--in", str(spaced), "--out", str(tmp_path / "d8"),
+                     *lenient]) == 2
+        assert "sentence 5, token 1: form 'New York'" in capsys.readouterr().err
+    assert not (tmp_path / "d8").exists()
+
+
+def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_conllu(ToyLang(seed=41).corpus(60, kind="mixed")),
+                    encoding="utf-8")
+    parsed = ToyLang(seed=42).corpus(30, kind="mixed")
+    for i, form in ((2, "New York"), (9, "")):
+        parsed[i].tokens[0] = replace(parsed[i].tokens[0], form=form)
+    parsed_path = tmp_path / "parsed.conllu"
+    parsed_path.write_text(serialize_conllu(parsed) + "1\tbroken\n\n", encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--in", str(parsed_path), "--vocab-from", str(gold),
+                 "--min-count", "1", "--min-len", "1", "--overlap", "0", "--out", str(out)]) == 0
+    stats = dict(line.split("=") for line in (out / "stats.txt").read_text().splitlines())
+    stats = {key: int(value) for key, value in stats.items()}
+    assert stats["input_count"] == 31
+    assert stats["rejected_malformed"] == 3
+    assert stats["kept_count"] == 28
+    assert stats["input_count"] == sum(v for k, v in stats.items() if k != "input_count")
+    assert main(["pairs", "--in", str(out / "synth.conllu"), "--refs", str(out / "refs.txt"),
+                 "--out", str(tmp_path / "pairs")]) == 0
 
 
 def _run_sr(args: list[str], hashseed: str) -> str:

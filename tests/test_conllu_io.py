@@ -1,16 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfreal.conllu_io import (
     ConlluError,
     UdSentence,
     misc_get,
     iter_blocks,
-    misc_with,
     parse_conllu,
     parse_pairs,
     serialize_conllu,
 )
 from toylang import ToyLang, tok
+from treegen import FIELDS, sentences
 
 
 def test_parse_basic_block(fixture_text):
@@ -44,6 +46,36 @@ def test_round_trip_on_generated_corpus():
     corpus = ToyLang(seed=11).corpus(50, kind="mixed")
     text = serialize_conllu(corpus)
     assert serialize_conllu(parse_conllu(text)) == text
+
+
+_COMMENTS = FIELDS.map(lambda text: "# " + text)
+
+
+@st.composite
+def canonical_blocks(draw) -> str:
+    """A sentence block in canonical shape: leading comments, then token rows
+    with range lines before some tokens, and empty-node lines and comments
+    after some."""
+    tokens = draw(sentences()).tokens
+    lines = draw(st.lists(_COMMENTS, max_size=2))
+    for t in tokens:
+        if t.id < len(tokens) and draw(st.integers(0, 3)) == 0:
+            lines.append(f"{t.id}-{t.id + 1}\t{draw(FIELDS)}\t_\t_\t_\t_\t_\t_\t_\t_")
+        lines.append(t.to_line())
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(f"{t.id}.1\t{draw(FIELDS)}\t{draw(FIELDS)}\tX\t_\t_\t_\t_\t"
+                         f"{t.id}:dep\t_")
+        lines.extend(draw(st.lists(_COMMENTS, max_size=1)))
+    return "\n".join(lines) + "\n\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(canonical_blocks(), max_size=4))
+def test_round_trip_on_generated_blocks(blocks):
+    text = "".join(blocks)
+    parsed = parse_conllu(text)
+    assert len(parsed) == len(blocks)
+    assert serialize_conllu(parsed) == text
 
 
 def test_serialize_empty_list():
@@ -100,9 +132,8 @@ def test_feats_misc_round_trip_preserves_order():
 
 
 def test_misc_helpers():
-    misc = misc_with("_", "original_id", "4")
-    assert misc == "original_id=4"
+    misc = "original_id=4|SpaceAfter=No"
     assert misc_get(misc, "original_id") == "4"
+    assert misc_get(misc, "SpaceAfter") == "No"
     assert misc_get(misc, "nope") is None
-    stacked = misc_with(misc, "SpaceAfter", "No")
-    assert misc_get(stacked, "SpaceAfter") == "No"
+    assert misc_get("_", "original_id") is None

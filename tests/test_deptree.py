@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfreal.conllu_io import ConlluError, UdSentence, misc_get, parse_conllu, serialize_conllu
 from surfreal.deptree import (
@@ -9,8 +11,10 @@ from surfreal.deptree import (
     shallow_to_conllu,
     shallow_transform,
     strip_alignment,
+    strip_alignment_text,
 )
 from toylang import ToyLang, tok
+from treegen import sentences
 
 
 def chain_sentence():
@@ -137,6 +141,22 @@ def test_shallow_conllu_serialization_parses_back(toy):
     parsed = parse_conllu(text)
     for original, row in zip(dataset, parsed):
         assert shallow_from_conllu(row).alignment == original.alignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences(max_tokens=12), st.integers(0, 2**32))
+def test_shallow_encoding_is_inverted_by_decoding(sentence, seed):
+    shallow = shallow_transform(sentence, seed)
+    encoded = shallow_to_conllu(shallow)
+    [reparsed] = parse_conllu(serialize_conllu([encoded]))
+    for decoded in (shallow_from_conllu(encoded), shallow_from_conllu(reparsed)):
+        assert decoded.tree == shallow.tree
+        assert decoded.alignment == shallow.alignment
+    stripped = shallow_to_conllu(strip_alignment(shallow))
+    assert shallow_from_conllu(stripped).tree == shallow.tree
+    assert shallow_from_conllu(stripped).alignment is None
+    text = serialize_conllu([encoded])
+    assert strip_alignment_text(text) == serialize_conllu([stripped])
 
 
 def test_shallow_from_conllu_rejects_corrupt_alignment():

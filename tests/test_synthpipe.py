@@ -1,9 +1,16 @@
 import unicodedata
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from surfreal.conllu_io import ConlluError, iter_blocks, parse_block, serialize_conllu
+from surfreal.conllu_io import (
+    ConlluError,
+    iter_blocks,
+    parse_block,
+    parse_conllu,
+    serialize_conllu,
+)
 from surfreal.deptree import shallow_to_conllu
 from surfreal.synthpipe import (
     REASON_LENGTH,
@@ -73,6 +80,26 @@ def test_nfc_applies_to_forms_and_lemmas():
     assert out.tokens[0].form == "café"
     assert out.tokens[0].lemma == "café"
     assert unicodedata.is_normalized("NFC", out.tokens[0].form)
+    composed = unicodedata.normalize("NFC", decomposed)
+    # already NFC: the same tokens come back
+    clean = _accent_sentence_nfc()
+    assert nfc_sentence(clean).tokens == clean.tokens
+    # only the lemma decomposed: only the lemma changes
+    lemma_only = UdSentence(tokens=[tok(1, composed, decomposed, "NOUN", "_", 0, "root")])
+    [got] = nfc_sentence(lemma_only).tokens
+    assert got == replace(lemma_only.tokens[0], lemma=composed)
+    # FEATS and MISC are not normalized, whether or not form and lemma are
+    for form in ("x", decomposed):
+        raw = replace(tok(1, form, "x", "X", decomposed, 0, "root"), misc=decomposed)
+        [got] = nfc_sentence(UdSentence(tokens=[raw])).tokens
+        assert got == replace(raw, form=unicodedata.normalize("NFC", form))
+        assert (got.feats, got.misc) == (decomposed, decomposed)
+
+
+def _accent_sentence_nfc():
+    return UdSentence(tokens=[replace(t, form=unicodedata.normalize("NFC", t.form),
+                                      lemma=unicodedata.normalize("NFC", t.lemma))
+                              for t in _accent_sentence().tokens])
 
 
 def _accent_sentence():
@@ -130,6 +157,9 @@ def oracle_sift(text: str, vocab_tokens: set, policy: FilterPolicy):
             continue
         forms = [unicodedata.normalize("NFC", t.form) for t in parsed.tokens]
         lemmas = [unicodedata.normalize("NFC", t.lemma) for t in parsed.tokens]
+        if any(f == "" or any(c.isspace() for c in f) for f in forms):
+            bad += 1  # refs.txt could not carry the sentence
+            continue
         if len(forms) < policy.min_len or len(forms) > policy.max_len:
             by_len += 1
             continue
@@ -161,6 +191,24 @@ def test_pipeline_matches_independent_filter_oracle():
         assert sorted(shallow.alignment.values()) == list(range(len(forms)))
         got_lemmas = sorted(info.lemma for info in shallow.tree.nodes.values())
         assert got_lemmas == sorted(lemmas)
+
+
+def test_forms_refs_cannot_carry_count_as_malformed():
+    corpus = ToyLang(seed=77).corpus(40, kind="mixed")
+    vocab = build_vocab([s.forms() for s in corpus], min_count=1)
+    odd = {3: "New York", 8: "", 13: "a\u00a0b", 21: "tab\x0bbed", 30: " lead"}
+    for i, form in odd.items():
+        corpus[i].tokens[0] = replace(corpus[i].tokens[0], form=form)
+    text = noisy_corpus_text(seed=78, n=30) + serialize_conllu(corpus)
+    policy = FilterPolicy(min_len=1, max_len=100, overlap_threshold=0.0)
+    dataset, stats = build_synthetic_dataset(text, vocab, policy, rng_seed=5)
+    kept, (total, n_kept, by_len, by_ov, bad) = oracle_sift(text, vocab.tokens, policy)
+    assert (stats.input_count, stats.kept_count, stats.rejected_malformed) == (total, n_kept, bad)
+    parse_failures = sum(1 for _ in iter_blocks(text)) - len(parse_conllu(text, strict=False))
+    assert stats.rejected_malformed == parse_failures + len(odd)
+    assert stats.reconciles()
+    for shallow in dataset:
+        assert " ".join(shallow.reference_forms).split() == list(shallow.reference_forms)
 
 
 def test_rerun_is_identical():
