@@ -21,7 +21,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .conllu_io import ConlluError, parse_conllu, serialize_conllu
+from .conllu_io import ConlluError, UdSentence, parse_conllu, serialize_conllu
 from .deptree import (
     ShallowSentence,
     shallow_from_conllu,
@@ -98,6 +98,17 @@ def _write_shallow_outputs(out_dir: Path, dataset: list[ShallowSentence],
     return [aligned, stripped, refs]
 
 
+def _check_forms_writable(path: Path, sentences: list[UdSentence]) -> None:
+    """Reject a form that a space-separated token line (refs.txt, a hypothesis
+    line) cannot carry, naming its sentence and token."""
+    for number, sentence in enumerate(sentences, 1):
+        token = unwritable_form(sentence)
+        if token is not None:
+            raise DataError(f"{path}: sentence {number}, token {token.id}: form "
+                            f"{token.form!r} is empty or holds whitespace, which a "
+                            "space-separated token line cannot carry")
+
+
 # --- subcommands --------------------------------------------------------------
 
 
@@ -106,12 +117,7 @@ def cmd_make_dataset(args) -> int:
     sentences = parse_conllu(text, strict=not args.lenient)
     if not sentences:
         raise DataError(f"no sentences in {args.in_path}")
-    for number, sentence in enumerate(sentences, 1):
-        token = unwritable_form(sentence)
-        if token is not None:
-            raise DataError(f"{args.in_path}: sentence {number}, token {token.id}: form "
-                            f"{token.form!r} is empty or holds whitespace, which refs.txt "
-                            "cannot carry")
+    _check_forms_writable(args.in_path, sentences)
     dataset = [shallow_transform(s, args.seed + i) for i, s in enumerate(sentences)]
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "shallow")
@@ -234,6 +240,7 @@ def cmd_realize(args) -> int:
 def cmd_eval(args) -> int:
     hyps = _read_ref_lines(args.hyp)
     refs = parse_conllu(_read_text(args.ref))
+    _check_forms_writable(args.ref, refs)
     if len(hyps) != len(refs):
         raise DataError(f"{len(hyps)} hypothesis lines vs {len(refs)} reference sentences")
     mode = "detokenized" if args.detokenized else "tokenized"

@@ -64,9 +64,7 @@ class NGramModel:
         return self.lam * ml + (1.0 - self.lam) * lower
 
     def logprob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
-        need = self.order - 1
-        hist = tuple(history[-need:]) if need else ()
-        ctx = (BOS,) * (need - len(hist)) + hist  # as context_key, built once per call
+        ctx = self.context_key(history)
         key = (token, ctx)
         cached = self._memo.get(key)
         if cached is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from .conllu_io import UdSentence, parse_pairs
@@ -91,19 +92,34 @@ class NodeHandle:
 
 
 class Scorer(ABC):
-    """Log-probability of a candidate continuation; pure and read-only."""
+    """Log-probability of a candidate continuation; pure and read-only.
+
+    ``state_key`` may name the part of a history the scores depend on:
+    when it returns a key other than None, ``score_next`` must depend only
+    on that key and the candidate form (not on the node, nor on the rest
+    of the history), and the beam search then scores each (key, form) once
+    per sentence.  The default, None, makes it score every candidate.
+    """
 
     @abstractmethod
     def score_next(self, history: list[str], candidate_form: str,
                    candidate_node: NodeHandle) -> float: ...
 
+    def state_key(self, history: list[str]) -> Hashable | None:
+        return None
+
 
 class NGramScorer(Scorer):
+    """An n-gram model's log-probability; its state is the model's context."""
+
     def __init__(self, model: NGramModel):
         self.model = model
 
     def score_next(self, history, candidate_form, candidate_node) -> float:
         return self.model.logprob(candidate_form, history)
+
+    def state_key(self, history) -> tuple[str, ...]:
+        return self.model.context_key(history)
 
 
 class OracleScorer(Scorer):
@@ -163,10 +179,16 @@ def beam_realize(
 ) -> RealizationResult:
     """Beam search of exactly n steps over the restricted continuations.
 
-    Each step calls ``scorer.score_next`` exactly once per candidate, in
-    the canonical order (beam rank, then the canonical continuation
-    order), and keeps only a flat score per candidate; a Hypothesis is
-    materialized only for the candidates that survive the step.
+    Each step scores every candidate, in the canonical order (beam rank,
+    then the canonical continuation order), and keeps only a flat score
+    per candidate; a Hypothesis is materialized only for the candidates
+    that survive the step.  ``scorer.score_next`` is called once per
+    candidate, in that order, when ``scorer.state_key`` returns None for
+    the parent's history; otherwise it is called once per distinct
+    (state key, form) per sentence, for the first candidate in that
+    order that needs it, and the delta is reused for every later
+    candidate with the same key and form.  A candidate's score is its
+    parent's score plus the delta on either path.
     Candidates are ranked by score with ties broken by that generation
     order, so decoding is fully deterministic.  Retention is
     slot-nested rather than plain top-k: each survivor takes the lowest
@@ -183,21 +205,43 @@ def beam_realize(
     n = tree.size()
     if n < 1:
         raise ValueError("sentence has no nodes")
-    cands = {node_id: lexicon.candidates_for(tree.nodes[node_id]) for node_id in tree.node_ids()}
+    # per node, its (node id, form) moves in candidate order; the tuples are
+    # shared by every hypothesis that emits them
+    moves_of = {node_id: tuple((node_id, form) for form, _count
+                               in lexicon.candidates_for(tree.nodes[node_id]))
+                for node_id in tree.node_ids()}
     handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in tree.node_ids()}
+    rows: dict[Hashable, dict[str, float]] = {}  # state key -> form -> delta, this sentence
 
     beam = [Hypothesis(emitted=(), remaining=frozenset(tree.nodes), score=0.0)]
     slots = [1]
     for _step in range(n):
         scores: list[float] = []
-        moves: list[tuple[int, int, str]] = []  # (parent index, node id, form)
+        moves: list[tuple[int, str]] = []  # (node id, form) per candidate
+        parent_of: list[int] = []          # beam index of each candidate's parent
         for parent_index, hyp in enumerate(beam):
             history = hyp.forms()
-            for node_id in sorted(hyp.remaining):
-                handle = handles[node_id]
-                for form, _count in cands[node_id]:
-                    scores.append(hyp.score + scorer.score_next(history, form, handle))
-                    moves.append((parent_index, node_id, form))
+            base = hyp.score
+            block = [move for node_id in sorted(hyp.remaining) for move in moves_of[node_id]]
+            moves += block
+            parent_of += [parent_index] * len(block)
+            key = scorer.state_key(history)
+            if key is None:
+                scores += [base + scorer.score_next(history, form, handles[node_id])
+                           for node_id, form in block]
+                continue
+            row = rows.setdefault(key, {})
+            if row:  # a state met before, which most often has every form scored already
+                try:
+                    scores += [base + row[form] for _node_id, form in block]
+                    continue
+                except KeyError:  # a form not scored in this state yet: fill below
+                    pass
+            for node_id, form in block:
+                delta = row.get(form)
+                if delta is None:
+                    delta = row[form] = scorer.score_next(history, form, handles[node_id])
+                scores.append(base + delta)
         # stable: equal scores keep generation order
         order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
@@ -216,14 +260,15 @@ def beam_realize(
         parents, parent_slots = beam, slots
         beam, slots = [], []
         for i in order:
-            parent_index, node_id, form = moves[i]
+            parent_index = parent_of[i]
             slot = _free_slot(parent_slots[parent_index])
             if slot > beam_size:
                 continue
             next_free[slot] = slot + 1
             parent = parents[parent_index]
-            beam.append(Hypothesis(emitted=parent.emitted + ((node_id, form),),
-                                   remaining=parent.remaining - {node_id},
+            move = moves[i]
+            beam.append(Hypothesis(emitted=parent.emitted + (move,),
+                                   remaining=parent.remaining - {move[0]},
                                    score=scores[i]))
             slots.append(slot)
             if len(beam) == beam_size:

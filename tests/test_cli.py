@@ -259,6 +259,15 @@ def test_data_errors(tmp_path, capsys):
                      *lenient]) == 2
         assert "sentence 5, token 1: form 'New York'" in capsys.readouterr().err
     assert not (tmp_path / "d8").exists()
+    spaced_hyp = tmp_path / "spaced_hyp.txt"
+    spaced_hyp.write_text("".join(" ".join(s.forms()) + "\n"
+                                  for s in parse_conllu(spaced.read_text(encoding="utf-8"))),
+                          encoding="utf-8")
+    for mode in ("--tokenized", "--detokenized"):
+        assert main(["eval", "--hyp", str(spaced_hyp), "--ref", str(spaced), mode,
+                     "--out", str(tmp_path / "spaced_report.txt")]) == 2, mode
+        assert "sentence 5, token 1: form 'New York'" in capsys.readouterr().err
+    assert not (tmp_path / "spaced_report.txt").exists()
 
 
 def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):

@@ -133,6 +133,41 @@ def test_counts_addition_is_fieldwise():
     assert BleuCounts() + a == a
 
 
+_count_lists = st.lists(st.integers(0, 50), min_size=4, max_size=4)
+_counts = st.builds(BleuCounts, matched=_count_lists, total=_count_lists,
+                    hyp_len=st.integers(0, 200), ref_len=st.integers(0, 200))
+_short_tokens = st.lists(st.sampled_from(["a", "b", "c", "."]), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counts, _counts, _counts)
+def test_counts_addition_is_associative_and_commutative(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert BleuCounts() + a == a == a + BleuCounts()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_short_tokens, _short_tokens), max_size=15),
+       st.lists(st.integers(0, 15), max_size=6))
+def test_counts_sum_over_any_chunking_equals_one_pass(pairs, cuts):
+    one_pass = BleuCounts()
+    for hyp, ref in pairs:
+        one_pass = one_pass + pair_counts(hyp, ref)
+    bounds = [0, *sorted(min(cut, len(pairs)) for cut in cuts), len(pairs)]
+    chunk_sums = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = BleuCounts()
+        for hyp, ref in pairs[lo:hi]:
+            chunk = chunk + pair_counts(hyp, ref)
+        chunk_sums.append(chunk)
+    chunked = BleuCounts()
+    for chunk in reversed(chunk_sums):
+        chunked = chunk + chunked
+    assert chunked == one_pass
+    assert chunked.score() == one_pass.score()
+
+
 # --- detokenization -----------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 """The beam search against a straightforward reference implementation.
 
-``reference_beam_realize`` materializes a Hypothesis for every candidate
-and sorts them all; ``beam_realize`` must return the same tokens, node
-order and score (bit for bit) and call the scorer with the same
-arguments in the same order, on random trees, lexicons and scorers.
-Coarse integer scorers make many candidates tie, so the tie-break by
-generation order is exercised.
+``reference_beam_realize`` materializes a Hypothesis for every candidate,
+scores every candidate and sorts them all; ``beam_realize`` must return
+the same tokens, node order and score (bit for bit) on random trees,
+lexicons and scorers.  With a scorer that has no state key it must call
+the scorer with the same arguments in the same order; with the n-gram
+scorer's state key it must make the reference's calls less every repeat
+of a (state key, form).  Coarse integer scorers make many candidates
+tie, so the tie-break by generation order is exercised.
 """
 
 import math
@@ -145,13 +147,18 @@ def instances(draw):
 
 
 @st.composite
+def ngram_models(draw):
+    refs = draw(st.lists(st.lists(st.sampled_from(FORMS), min_size=1, max_size=6),
+                         min_size=1, max_size=8))
+    return train_ngram(refs, order=draw(st.integers(1, 4)), lam=0.6)
+
+
+@st.composite
 def scorers(draw):
     kind = draw(st.sampled_from(["coarse", "fine", "ngram"]))
     if kind != "ngram":
         return TableScorer(draw(st.integers(0, 2**16)), coarse=kind == "coarse")
-    refs = draw(st.lists(st.lists(st.sampled_from(FORMS), min_size=1, max_size=6),
-                         min_size=1, max_size=8))
-    return NGramScorer(train_ngram(refs, order=draw(st.integers(1, 4)), lam=0.6))
+    return NGramScorer(draw(ngram_models()))
 
 
 def exhaustive_beam(sentence, lexicon) -> int:
@@ -196,3 +203,63 @@ def test_context_key_and_logprob(order, history, token, as_tuple):
     assert got == math.log(model.prob(token, history))
     assert model.logprob(token, tuple(history)) == got
     assert model.logprob(token, list(history)) == got
+
+
+class RecordingNGramScorer(NGramScorer):
+    """Overrides only ``score_next``, so the state key is inherited."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.calls = []
+
+    def score_next(self, history, candidate_form, candidate_node) -> float:
+        self.calls.append((tuple(history), candidate_form, candidate_node.node_id))
+        return super().score_next(history, candidate_form, candidate_node)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), ngram_models())
+def test_state_keyed_beam_matches_reference(instance, model):
+    sentence, lexicon = instance
+    for beam in (1, 2, 3, 7, exhaustive_beam(sentence, lexicon)):
+        want_scorer = RecordingScorer(NGramScorer(model))  # no state key: every candidate
+        want = reference_beam_realize(sentence, want_scorer, beam, lexicon)
+        got = beam_realize(sentence, NGramScorer(model), beam, lexicon)
+        assert got.tokens == want.tokens
+        assert got.node_order == want.node_order
+        assert got.score == want.score
+        assert got.beam_size == want.beam_size == beam
+
+        keyed = RecordingNGramScorer(model)
+        again = beam_realize(sentence, keyed, beam, lexicon)
+        assert (again.tokens, again.node_order, again.score) == (want.tokens, want.node_order,
+                                                                want.score)
+        # the reference's calls, keeping only the first of each (state key, form)
+        first_calls, seen = [], set()
+        for history, form, node_id in want_scorer.calls:
+            state = (model.context_key(history), form)
+            if state not in seen:
+                seen.add(state)
+                first_calls.append((history, form, node_id))
+        assert keyed.calls == first_calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=ngram_models(),
+       prefixes=st.lists(st.lists(st.sampled_from(FORMS + ["zz"]), max_size=5),
+                         min_size=2, max_size=2),
+       tail=st.lists(st.sampled_from(FORMS + ["zz"]), max_size=4),
+       form=st.sampled_from(FORMS + ["zz"]),
+       node_ids=st.lists(st.integers(1, 5), min_size=2, max_size=2))
+def test_ngram_score_depends_only_on_state_key_and_form(model, prefixes, tail, form, node_ids):
+    scorer = NGramScorer(model)
+    histories = [prefix + tail for prefix in prefixes]
+    handles = [NodeHandle(node_id, None) for node_id in node_ids]
+    keys = [scorer.state_key(history) for history in histories]
+    assert keys[0] == model.context_key(histories[0])
+    if keys[0] == keys[1]:
+        assert (scorer.score_next(histories[0], form, handles[0])
+                == scorer.score_next(histories[1], form, handles[1]))
+    # a tail of at least order-1 forms fixes the key
+    if len(tail) >= model.order - 1:
+        assert keys[0] == keys[1]
