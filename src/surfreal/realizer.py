@@ -110,7 +110,13 @@ class Scorer(ABC):
 
 
 class NGramScorer(Scorer):
-    """An n-gram model's log-probability; its state is the model's context."""
+    """An n-gram model's log-probability; its state is the model's context.
+
+    A subclass whose ``score_next`` reads the node or more of the history
+    than the model's context must override ``state_key`` to return None;
+    otherwise the beam search reuses one candidate's score for every other
+    candidate with the same context and form.
+    """
 
     def __init__(self, model: NGramModel):
         self.model = model
@@ -231,12 +237,6 @@ def beam_realize(
                            for node_id, form in block]
                 continue
             row = rows.setdefault(key, {})
-            if row:  # a state met before, which most often has every form scored already
-                try:
-                    scores += [base + row[form] for _node_id, form in block]
-                    continue
-                except KeyError:  # a form not scored in this state yet: fill below
-                    pass
             for node_id, form in block:
                 delta = row.get(form)
                 if delta is None:
