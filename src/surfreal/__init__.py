@@ -6,7 +6,7 @@ restricted beam-search realization over pluggable scorers -> BLEU-4
 evaluation with an error taxonomy and length-bucket breakdown.
 """
 
-from .conllu_io import ConlluError, UdSentence, UdToken, parse_conllu, serialize_conllu
+from .conllu_io import ConlluError, DataError, UdSentence, UdToken, parse_conllu, serialize_conllu
 from .deptree import DepTree, ShallowSentence, build_tree, shallow_transform, strip_alignment
 from .evalsuite import ErrorCategory, EvalReport, bleu4, classify_output, detokenize, evaluate
 from .linearizer import LinearSeq, append_form_list, emit_training_pairs, linearize
@@ -26,7 +26,7 @@ from .synthpipe import FilterPolicy, SynthStats, Vocabulary, build_synthetic_dat
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConlluError", "UdSentence", "UdToken", "parse_conllu", "serialize_conllu",
+    "ConlluError", "DataError", "UdSentence", "UdToken", "parse_conllu", "serialize_conllu",
     "DepTree", "ShallowSentence", "build_tree", "shallow_transform", "strip_alignment",
     "LinearSeq", "linearize", "append_form_list", "emit_training_pairs",
     "FilterPolicy", "SynthStats", "Vocabulary", "build_vocab", "build_synthetic_dataset",

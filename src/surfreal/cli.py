@@ -21,7 +21,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .conllu_io import ConlluError, UdSentence, parse_conllu, serialize_conllu
+from .conllu_io import DataError, UdSentence, parse_conllu, serialize_conllu
 from .deptree import (
     ShallowSentence,
     shallow_from_conllu,
@@ -33,14 +33,10 @@ from .deptree import (
 )
 from .evalsuite import evaluate
 from .linearizer import emit_training_pairs, write_pair_files
-from .ngram import BOS, UNK, NGramModel, train_ngram
+from .ngram import NGramModel, train_ngram
 from .parallel import parallel_map
 from .realizer import NGramScorer, beam_realize, build_form_lexicon
 from .synthpipe import FilterPolicy, build_synthetic_dataset, build_vocab
-
-
-class DataError(Exception):
-    """Bad or inconsistent input data (exit code 2)."""
 
 
 # --- manifest helpers --------------------------------------------------------
@@ -98,26 +94,33 @@ def _write_shallow_outputs(out_dir: Path, dataset: list[ShallowSentence],
     return [aligned, stripped, refs]
 
 
-def _check_forms_writable(path: Path, sentences: list[UdSentence]) -> None:
-    """Reject a form that a space-separated token line (refs.txt, a hypothesis
-    line) cannot carry, naming its sentence and token."""
+def _read_gold(path: Path, strict: bool = True) -> list[UdSentence]:
+    """Parse a gold treebank; DataError when it holds no sentence, or a form that
+    a space-separated token line (refs.txt, a hypothesis line) cannot carry."""
+    sentences = parse_conllu(_read_text(path), strict=strict)
+    if not sentences:
+        raise DataError(f"no sentences in {path}")
     for number, sentence in enumerate(sentences, 1):
         token = unwritable_form(sentence)
         if token is not None:
             raise DataError(f"{path}: sentence {number}, token {token.id}: form "
                             f"{token.form!r} is empty or holds whitespace, which a "
                             "space-separated token line cannot carry")
+    return sentences
+
+
+def _out_file(name: str) -> Path:
+    """An --out file's path, with its parent directory created."""
+    out = Path(name)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 # --- subcommands --------------------------------------------------------------
 
 
 def cmd_make_dataset(args) -> int:
-    text = _read_text(args.in_path)
-    sentences = parse_conllu(text, strict=not args.lenient)
-    if not sentences:
-        raise DataError(f"no sentences in {args.in_path}")
-    _check_forms_writable(args.in_path, sentences)
+    sentences = _read_gold(args.in_path, strict=not args.lenient)
     dataset = [shallow_transform(s, args.seed + i) for i, s in enumerate(sentences)]
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "shallow")
@@ -131,7 +134,7 @@ def cmd_make_dataset(args) -> int:
 def cmd_synth(args) -> int:
     policy = FilterPolicy(min_len=args.min_len, max_len=args.max_len,
                           overlap_threshold=args.overlap)
-    gold = parse_conllu(_read_text(args.vocab_from))
+    gold = _read_gold(args.vocab_from)
     vocab = build_vocab((s.forms() for s in gold), args.min_count)
     dataset, stats = build_synthetic_dataset(
         _read_text(args.in_path), vocab, policy, args.seed, jobs=args.jobs)
@@ -176,7 +179,7 @@ def cmd_pairs(args) -> int:
     lexicon = None
     inputs = [args.in_path, args.refs]
     if args.lexicon is not None:
-        lexicon = build_form_lexicon(parse_conllu(_read_text(args.lexicon)))
+        lexicon = build_form_lexicon(_read_gold(args.lexicon))
         inputs.append(args.lexicon)
     pairs = emit_training_pairs(dataset, args.k, scoped=args.scoped,
                                 with_forms=args.with_forms, lexicon=lexicon,
@@ -195,17 +198,8 @@ def cmd_pairs(args) -> int:
 
 def cmd_train_lm(args) -> int:
     refs = _read_ref_lines(args.refs)
-    # split() leaves no empty or whitespace-bearing token; only the markers can clash
-    for line_no, tokens in enumerate(refs, 1):
-        for marker in (BOS, UNK):
-            if marker in tokens:
-                raise DataError(f"{args.refs} line {line_no}: reserved token {marker!r}")
-    if not any(refs):
-        raise DataError(f"no reference tokens in {args.refs}")
     model = train_ngram(refs, order=args.order, lam=args.lam)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args.out)
     model.save(out)
     _write_manifest(Path(str(out) + ".manifest.json"), "train-lm",
                     {"order": args.order, "lambda": args.lam},
@@ -217,17 +211,12 @@ def cmd_train_lm(args) -> int:
 
 def cmd_realize(args) -> int:
     dataset = [strip_alignment(s) for s in _load_shallow_dataset(args.in_path, None)]
-    try:
-        model = NGramModel.load(args.lm)
-    except ValueError as err:
-        raise DataError(str(err))
-    lexicon = build_form_lexicon(parse_conllu(_read_text(args.lexicon)))
+    model = NGramModel.load(args.lm)
+    lexicon = build_form_lexicon(_read_gold(args.lexicon))
     realize = partial(beam_realize, scorer=NGramScorer(model), beam_size=args.beam,
                       lexicon=lexicon)
     realized = [result.tokens for result in parallel_map(realize, dataset, args.jobs)]
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args.out)
     out.write_text("".join(" ".join(tokens) + "\n" for tokens in realized),
                    encoding="utf-8")
     _write_manifest(Path(str(out) + ".manifest.json"), "realize",
@@ -239,15 +228,12 @@ def cmd_realize(args) -> int:
 
 def cmd_eval(args) -> int:
     hyps = _read_ref_lines(args.hyp)
-    refs = parse_conllu(_read_text(args.ref))
-    _check_forms_writable(args.ref, refs)
-    if len(hyps) != len(refs):
-        raise DataError(f"{len(hyps)} hypothesis lines vs {len(refs)} reference sentences")
+    refs = _read_gold(args.ref)
     mode = "detokenized" if args.detokenized else "tokenized"
     report = evaluate(hyps, refs, mode=mode, jobs=args.jobs)
     print(report.format_table(), end="")
     if args.out is not None:
-        out = Path(args.out)
+        out = _out_file(args.out)
         out.write_text(report.format_kv(), encoding="utf-8")
         _write_manifest(Path(str(out) + ".manifest.json"), "eval",
                         {"mode": mode}, [args.hyp, args.ref], [out])
@@ -331,7 +317,7 @@ def main(argv=None) -> int:
         return 0 if not exit_.code else 1
     try:
         return args.func(args)
-    except (ConlluError, DataError, OSError) as err:
+    except (DataError, OSError) as err:
         print(f"sr: data error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -23,7 +23,12 @@ _RANGE_ID = re.compile(r"^\d+-\d+$")
 _DECIMAL_ID = re.compile(r"^\d+\.\d+$")
 
 
-class ConlluError(ValueError):
+class DataError(ValueError):
+    """Bad or inconsistent input data, as opposed to a bad parameter value
+    (a plain ValueError); the ``sr`` command exits with code 2 on it."""
+
+
+class ConlluError(DataError):
     """Malformed CoNLL-U input (strict mode) or invalid sentence structure."""
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import partial
 from typing import Iterable
 
-from .conllu_io import UdSentence
+from .conllu_io import DataError, UdSentence
 from .parallel import parallel_map
 
 MAX_ORDER = 4
@@ -87,11 +87,16 @@ def pair_counts(hyp: list[str], ref: list[str]) -> BleuCounts:
     return counts
 
 
+def _check_aligned(hyps: list, refs: list) -> None:
+    """Raise DataError unless there are as many hypotheses as references, and some."""
+    if len(hyps) != len(refs):
+        raise DataError(f"{len(hyps)} hypotheses vs {len(refs)} references")
+    if not hyps:
+        raise DataError("empty corpus")
+
+
 def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
-    if not hypotheses:
-        raise ValueError("empty hypothesis list")
-    if len(hypotheses) != len(references):
-        raise ValueError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
+    _check_aligned(hypotheses, references)
     counts = BleuCounts()
     for hyp, ref in zip(hypotheses, references):
         counts = counts + pair_counts(hyp, ref)
@@ -168,9 +173,7 @@ def classify_output(
         return ErrorCategory.PUNCTUATION_ONLY
 
     if len(hyp_tokens) == len(ref_forms):
-        table: dict[str, str] = {}
-        for t in ref_sentence.tokens:
-            table.setdefault(t.form, t.lemma)
+        table = corpus_lemma_table([ref_sentence])
 
         def lemma_of(form: str) -> str:
             hit = table.get(form)
@@ -299,10 +302,7 @@ def evaluate(
     """
     if mode not in ("tokenized", "detokenized"):
         raise ValueError(f"unknown mode {mode!r}")
-    if len(hyps) != len(ref_corpus):
-        raise ValueError(f"{len(hyps)} hypotheses vs {len(ref_corpus)} references")
-    if not hyps:
-        raise ValueError("empty corpus")
+    _check_aligned(hyps, ref_corpus)
 
     table = corpus_lemma_table(ref_corpus)
     if extra_lemmas:

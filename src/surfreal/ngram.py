@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from .conllu_io import DataError
+
 BOS = "<s>"
 UNK = "<unk>"
 _HEADER_TAG = "ngram-counts-v1"
@@ -92,47 +94,53 @@ class NGramModel:
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if len(header) != 4 or header[0] != _HEADER_TAG:
-                raise ValueError(f"not an n-gram count file: {path}")
-            order = int(header[1].removeprefix("order="))
-            lam = float(header[2].removeprefix("lambda="))
-            vocab_size = int(header[3].removeprefix("vocab="))
-            counts: dict[int, dict[tuple, Counter]] = {}
-            for line in fh:
-                k_str, ctx_str, token, count = line.rstrip("\n").split("\t")
-                ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
-                counts.setdefault(int(k_str), {}).setdefault(ctx, Counter())[token] = int(count)
-        vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
-        if len(vocab) != vocab_size:
-            raise ValueError(f"vocab size mismatch: header {vocab_size}, counted {len(vocab)}")
-        return cls(order=order, lam=lam, counts=counts, vocab=vocab)
+        """Read a file written by :meth:`save`; malformed content raises DataError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().rstrip("\n").split("\t")
+                if len(header) != 4 or header[0] != _HEADER_TAG:
+                    raise ValueError(f"no {_HEADER_TAG} header")
+                order = int(header[1].removeprefix("order="))
+                lam = float(header[2].removeprefix("lambda="))
+                vocab_size = int(header[3].removeprefix("vocab="))
+                counts: dict[int, dict[tuple, Counter]] = {}
+                for line in fh:
+                    k_str, ctx_str, token, count = line.rstrip("\n").split("\t")
+                    ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
+                    by_ctx = counts.setdefault(int(k_str), {})
+                    by_ctx.setdefault(ctx, Counter())[token] = int(count)
+            vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
+            if len(vocab) != vocab_size:
+                raise ValueError(f"vocab size mismatch: header {vocab_size}, "
+                                 f"counted {len(vocab)}")
+            return cls(order=order, lam=lam, counts=counts, vocab=vocab)
+        except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
+            raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
 
 def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -> NGramModel:
     """Count all k-grams (k <= order) ending at real-token positions.
 
     Sentences are left-padded with order-1 begin markers; no end marker
-    is used.  Tokens may not contain whitespace or collide with the
-    reserved markers.
+    is used.  A token that is empty, holds whitespace or is a reserved
+    marker raises DataError naming its 1-based sentence number (its line
+    in a reference file); a corpus without any token raises DataError too.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < lam < 1:
         raise ValueError("lambda must be strictly between 0 and 1")
-    if not references:
-        raise ValueError("empty training corpus")
     vocab: set[str] = set()
     counts: dict[int, dict[tuple, Counter]] = {k: {} for k in range(1, order + 1)}
     n_tokens = 0
     pad = (BOS,) * (order - 1)
-    for sent in references:
+    for number, sent in enumerate(references, 1):
         for token in sent:
             if token in (BOS, UNK):
-                raise ValueError(f"reserved token {token!r} in training data")
+                raise DataError(f"sentence {number}: reserved token {token!r}")
             if token == "" or any(ch.isspace() for ch in token):
-                raise ValueError(f"token {token!r} is empty or contains whitespace")
+                raise DataError(f"sentence {number}: token {token!r} is empty or "
+                                "contains whitespace")
         padded = pad + tuple(sent)
         for i in range(order - 1, len(padded)):
             token = padded[i]
@@ -142,5 +150,5 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
                 ctx = padded[i - k + 1 : i]
                 counts[k].setdefault(ctx, Counter())[token] += 1
     if n_tokens == 0:
-        raise ValueError("empty training corpus")
+        raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
     return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)

@@ -294,14 +294,6 @@ class CoverageReport:
     covered_sentences: int
     total_sentences: int
 
-    def as_kv(self) -> str:
-        return (
-            f"covered_nodes={self.covered_nodes}\n"
-            f"total_nodes={self.total_nodes}\n"
-            f"covered_sentences={self.covered_sentences}\n"
-            f"total_sentences={self.total_sentences}\n"
-        )
-
 
 def lexicon_coverage(dataset: list[ShallowSentence], lexicon: FormLexicon) -> CoverageReport:
     """Diagnostic for oracle decoding: a node is covered when its reference

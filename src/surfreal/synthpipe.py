@@ -45,8 +45,6 @@ class Vocabulary:
     def __init__(self, counts: Counter, min_count: int):
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
-        self.counts = counts
-        self.min_count = min_count
         self.tokens = {t for t, c in counts.items() if c >= min_count}
 
     def __contains__(self, token: str) -> bool:

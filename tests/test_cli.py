@@ -268,6 +268,29 @@ def test_data_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "spaced_report.txt")]) == 2, mode
         assert "sentence 5, token 1: form 'New York'" in capsys.readouterr().err
     assert not (tmp_path / "spaced_report.txt").exists()
+    for flags in (["realize", "--in", str(ds / "shallow.stripped.conllu"),
+                   "--lm", str(tmp_path / "lm.ngrams"), "--out", str(tmp_path / "h_spaced.txt")],
+                  ["pairs", "--in", str(ds / "shallow.conllu"), "--refs", str(ds / "refs.txt"),
+                   "--with-forms", "--out", str(tmp_path / "p_spaced")]):
+        assert main(flags + ["--lexicon", str(spaced)]) == 2, flags[0]
+        assert "sentence 5, token 1: form 'New York'" in capsys.readouterr().err
+    assert not (tmp_path / "h_spaced.txt").exists()
+    assert not (tmp_path / "p_spaced").exists()
+    empty_hyp = tmp_path / "empty_hyp.txt"
+    empty_hyp.write_text("", encoding="utf-8")
+    assert main(["eval", "--hyp", str(empty_hyp), "--ref", str(empty)]) == 2
+    assert main(["synth", "--in", str(gold), "--vocab-from", str(empty),
+                 "--out", str(tmp_path / "s_empty")]) == 2
+    assert "no sentences in" in capsys.readouterr().err
+    assert not (tmp_path / "s_empty").exists()
+
+
+def test_eval_out_creates_its_directory(pipeline, tmp_path):
+    report_path = tmp_path / "new" / "dir" / "report.txt"
+    assert main(["eval", "--hyp", str(pipeline["root"] / "hyp.txt"),
+                 "--ref", str(pipeline["gold_path"]), "--out", str(report_path)]) == 0
+    assert report_path.read_text(encoding="utf-8").startswith("mode=tokenized\n")
+    assert (report_path.parent / "report.txt.manifest.json").exists()
 
 
 def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):

@@ -1,0 +1,79 @@
+"""Every data fault the library detects is a DataError (and so still a
+ValueError); a bad parameter value stays a plain ValueError."""
+
+import pytest
+
+from surfreal import ConlluError, DataError, NGramModel, bleu4, evaluate, train_ngram
+from surfreal.conllu_io import parse_conllu
+from surfreal.deptree import shallow_transform
+from surfreal.linearizer import emit_training_pairs
+from surfreal.ngram import BOS, UNK
+from surfreal.realizer import NGramScorer, beam_realize, build_form_lexicon
+from surfreal.synthpipe import FilterPolicy, Vocabulary
+from toylang import ToyLang
+
+
+def test_conllu_error_is_a_data_error():
+    assert issubclass(ConlluError, DataError)
+    assert issubclass(DataError, ValueError)
+    with pytest.raises(ConlluError):
+        parse_conllu("1\tbroken\n\n")
+
+
+@pytest.mark.parametrize("sentences,message", [
+    ([], "empty training corpus"),
+    ([[], []], "empty training corpus"),
+    ([["a"], ["b", BOS]], "sentence 2: reserved token '<s>'"),
+    ([["a"], [UNK]], "sentence 2: reserved token '<unk>'"),
+    ([["a"], ["b c"]], "sentence 2: token 'b c' is empty or contains whitespace"),
+    ([["a"], ["b", ""]], "sentence 2: token '' is empty"),
+])
+def test_training_data_faults(sentences, message):
+    with pytest.raises(DataError, match=message):
+        train_ngram(sentences)
+
+
+@pytest.mark.parametrize("data", [
+    b"not a model\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\tmany\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=2\n1\t\ta\t1\n",
+    b"ngram-counts-v1\torder=0\tlambda=0.7\tvocab=1\n1\t\ta\t1\n",
+    b"ngram-counts-v1\torder=3\tlambda=1.5\tvocab=1\n1\t\ta\t1\n",
+    b"ngram-counts-v1\torder=x\tlambda=0.7\tvocab=1\n",
+    b"ngram-counts-v1\torder=1\tlambda=0.5\tvocab=1\n1\t\tcaf\xe9\t1\n",  # not UTF-8
+])
+def test_malformed_count_files(tmp_path, data):
+    path = tmp_path / "bad.ngrams"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="not a valid n-gram count file"):
+        NGramModel.load(path)
+
+
+def test_corpus_faults():
+    refs = ToyLang(seed=3).corpus(2)
+    hyps = [s.forms() for s in refs]
+    for call in (lambda: evaluate([], []), lambda: evaluate(hyps[:1], refs),
+                 lambda: bleu4([], []), lambda: bleu4(hyps, hyps[:1])):
+        with pytest.raises(DataError):
+            call()
+
+
+def test_usage_faults_are_not_data_errors():
+    refs = ToyLang(seed=3).corpus(2)
+    model = train_ngram([s.forms() for s in refs])
+    sentence = shallow_transform(refs[0], 0)
+    calls = [
+        lambda: train_ngram([["a"]], order=0),
+        lambda: train_ngram([["a"]], lam=1.0),
+        lambda: evaluate([s.forms() for s in refs], refs, mode="fancy"),
+        lambda: emit_training_pairs([sentence], 0, scoped=False, with_forms=False,
+                                    lexicon=None, rng_seed=0),
+        lambda: beam_realize(sentence, NGramScorer(model), 0, build_form_lexicon(refs)),
+        lambda: FilterPolicy(min_len=0),
+        lambda: Vocabulary({}, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, DataError), info.value
