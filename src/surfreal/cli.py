@@ -175,6 +175,8 @@ def _load_shallow_dataset(conllu_path: Path, refs_path: Path | None) -> list[Sha
 def cmd_pairs(args) -> int:
     if args.with_forms and args.lexicon is None:
         raise ValueError("--with-forms requires --lexicon")
+    if args.lexicon is not None and not args.with_forms:
+        raise ValueError("--lexicon requires --with-forms")
     dataset = _load_shallow_dataset(args.in_path, args.refs)
     lexicon = None
     inputs = [args.in_path, args.refs]
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scoped", action="store_true", help="add scoping brackets")
     p.add_argument("--with-forms", action="store_true", help="append inflection form lists")
     p.add_argument("--lexicon", type=Path, metavar="GOLD.conllu",
-                   help="treebank to harvest inflection forms from")
+                   help="treebank to harvest inflection forms from (with --with-forms)")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("train-lm", help="train the n-gram scorer")

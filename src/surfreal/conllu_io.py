@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 EMPTY = "_"
 
@@ -32,11 +32,11 @@ class ConlluError(DataError):
     """Malformed CoNLL-U input (strict mode) or invalid sentence structure."""
 
 
-@dataclass(frozen=True)
-class UdToken:
+class UdToken(NamedTuple):
     """One syntactic-word row. ``feats`` and ``misc`` are kept as raw
     column strings so they round-trip exactly; use :func:`parse_pairs`
-    for a key=value view."""
+    for a key=value view.  A ``NamedTuple``: immutable, changed copies
+    come from ``_replace``, and it equals the plain tuple of its fields."""
 
     id: int
     form: str

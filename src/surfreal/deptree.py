@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
 
@@ -20,9 +21,9 @@ ALIGN_KEY = "original_id"
 _ALIGNED_MISC = re.compile(rf"\t{ALIGN_KEY}=\d+$", re.MULTILINE)
 
 
-@dataclass(frozen=True)
-class NodeInfo:
-    """Payload of one tree node: everything except the surface form."""
+class NodeInfo(NamedTuple):
+    """Payload of one tree node: everything except the surface form.
+    A ``NamedTuple``, like :class:`~surfreal.conllu_io.UdToken`."""
 
     lemma: str
     upos: str

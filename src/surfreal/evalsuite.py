@@ -307,8 +307,8 @@ def evaluate(
     table = corpus_lemma_table(ref_corpus)
     if extra_lemmas:
         table.update(extra_lemmas)
-    scored = parallel_map(partial(_eval_pair, mode=mode, table=table),
-                          zip(hyps, ref_corpus), jobs)
+    scored = list(parallel_map(partial(_eval_pair, mode=mode, table=table),
+                               zip(hyps, ref_corpus), jobs))
     rows = _bucket_rows(((ref_len, counts) for ref_len, counts, _ in scored),
                         DEFAULT_BOUNDARIES)
     errors = Counter(category for _, _, category in scored)

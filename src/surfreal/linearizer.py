@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .conllu_io import DataError
 from .deptree import DepTree, ShallowSentence
 
 OPEN = "("
@@ -135,7 +136,7 @@ def emit_training_pairs(
     targets = []
     for s in dataset:
         if s.reference_forms is None:
-            raise ValueError("training pairs need reference forms for every sentence")
+            raise DataError("training pairs need reference forms for every sentence")
         targets.append(" ".join(escape_token(f) for f in s.reference_forms))
     pairs = []
     for e in range(k_linearizations):

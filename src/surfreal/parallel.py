@@ -1,21 +1,35 @@
 """The one process fan-out: ``parallel_map(fn, items, jobs)``.
 
-Results equal ``[fn(item) for item in items]``, in input order, for any
-``jobs``.  Worker processes are used only when ``jobs > 1`` and there
-are at least two items per job.  ``fn`` (typically a
+It yields ``fn(item)`` for each item, in input order, for any ``jobs``,
+and as lazily as ``map``: callers that need a list call ``list()``.
+Worker processes are used only when ``jobs > 1`` and there are at least
+two items per job.  The input is read through a read-ahead window of
+``READ_AHEAD_PER_JOB * jobs`` items and cut into chunks, at most
+``CHUNKS_PER_JOB * jobs`` of them in flight, so memory does not grow
+with the input.  An input that ends inside the window is cut into chunks
+of ``ceil(n / (CHUNKS_PER_JOB * jobs))`` items; a longer one goes on in
+chunks of the size a full window gets.  Small chunks keep the workers
+evenly loaded when item costs differ.  ``fn`` (typically a
 ``functools.partial`` holding a model, vocabulary or lemma table)
-reaches each worker once, through the pool initializer; items go out in
-small chunks so the workers stay evenly loaded when item costs differ.
+reaches each worker once, through the pool initializer.  An exception
+in a worker is raised to the consumer; it, an exception in the
+consumer, or closing the iterator early cancels the chunks not yet
+started and shuts the pool down.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, TypeVar
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+READ_AHEAD_PER_JOB = 256
+CHUNKS_PER_JOB = 8
 
 _worker_fn: Callable | None = None
 
@@ -25,15 +39,31 @@ def _init_worker(fn: Callable) -> None:
     _worker_fn = fn
 
 
-def _call(item):
-    return _worker_fn(item)
+def _call_chunk(chunk: list) -> list:
+    return [_worker_fn(item) for item in chunk]
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> list[R]:
-    items = list(items)
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return [fn(item) for item in items]
-    chunksize = math.ceil(len(items) / (8 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(fn,)) as pool:
-        return list(pool.map(_call, items, chunksize=chunksize))
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator[R]:
+    items = iter(items)
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    head = list(islice(items, READ_AHEAD_PER_JOB * jobs))
+    if len(head) < 2 * jobs:
+        yield from map(fn, head)
+        return
+    max_in_flight = CHUNKS_PER_JOB * jobs
+    size = math.ceil(len(head) / max_in_flight)
+    items = chain(head, items)
+    chunks = iter(lambda: list(islice(items, size)), [])
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(fn,))
+    try:
+        in_flight = deque()
+        for chunk in chunks:
+            in_flight.append(pool.submit(_call_chunk, chunk))
+            if len(in_flight) == max_in_flight:
+                yield from in_flight.popleft().result()
+        while in_flight:
+            yield from in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 
-from .conllu_io import UdSentence, parse_pairs
+from .conllu_io import DataError, UdSentence, parse_pairs
 from .deptree import NodeInfo, ShallowSentence
 from .ngram import NGramModel
 
@@ -136,7 +136,7 @@ class OracleScorer(Scorer):
 
     def __init__(self, reference: ShallowSentence):
         if reference.alignment is None or reference.reference_forms is None:
-            raise ValueError("oracle scorer needs an aligned reference")
+            raise DataError("oracle scorer needs an aligned reference")
         self.alignment = reference.alignment
         self.forms = reference.reference_forms
 

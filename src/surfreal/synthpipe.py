@@ -144,16 +144,22 @@ def build_synthetic_dataset(
 
     Output order follows input order; kept sentence number i (0-based)
     is transformed with seed rng_seed + i, so results do not depend on
-    the number of worker processes.
+    the number of worker processes.  Each kept sentence is transformed
+    as soon as the fan-out yields it, so parsed sentences are not held.
     """
-    sifted = parallel_map(partial(_sift_block, vocab=vocab, policy=policy),
-                          iter_blocks(text), jobs)
-    kept = [s for s in sifted if isinstance(s, UdSentence)]
-    reasons = Counter(s for s in sifted if isinstance(s, str))
-    stats = SynthStats(input_count=len(sifted), kept_count=len(kept),
+    dataset: list[ShallowSentence] = []
+    reasons: Counter = Counter()
+    input_count = 0
+    for sifted in parallel_map(partial(_sift_block, vocab=vocab, policy=policy),
+                               iter_blocks(text), jobs):
+        input_count += 1
+        if isinstance(sifted, str):
+            reasons[sifted] += 1
+        else:
+            dataset.append(shallow_transform(sifted, rng_seed + len(dataset)))
+    stats = SynthStats(input_count=input_count, kept_count=len(dataset),
                        rejected_by_length=reasons[REASON_LENGTH],
                        rejected_by_overlap=reasons[REASON_OVERLAP],
                        rejected_malformed=reasons[REASON_MALFORMED])
-    dataset = [shallow_transform(s, rng_seed + i) for i, s in enumerate(kept)]
     assert stats.reconciles()
     return dataset, stats

@@ -11,7 +11,6 @@ import random
 import time
 import unicodedata
 from collections import Counter
-from dataclasses import replace
 
 from conftest import attribution_ref, copula_ref, record_acceptance
 from test_evalsuite import oracle_bleu, random_pair_corpus
@@ -73,7 +72,7 @@ def test_criterion_1_oracle_round_trip():
                 continue
             lemma = f"zq{i}x"
             tokens = list(gold[i].tokens)
-            tokens[j] = replace(tokens[j], form=lemma + "s", lemma=lemma)
+            tokens[j] = tokens[j]._replace(form=lemma + "s", lemma=lemma)
             gold[i] = UdSentence(tokens=tokens)
             novel.add(i)
         assert novel

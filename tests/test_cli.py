@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -192,6 +191,7 @@ def test_usage_errors(tmp_path):
     base = ["pairs", "--in", str(ds / "shallow.conllu"), "--refs", str(ds / "refs.txt"),
             "--out", str(tmp_path / "p")]
     assert main(base + ["--with-forms"]) == 1  # no --lexicon
+    assert main(base + ["--lexicon", str(gold)]) == 1  # no --with-forms
     assert main(base + ["--k", "0"]) == 1
     assert main(["train-lm", "--refs", str(ds / "refs.txt"),
                  "--out", str(tmp_path / "m"), "--order", "0"]) == 1
@@ -299,7 +299,7 @@ def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):
                     encoding="utf-8")
     parsed = ToyLang(seed=42).corpus(30, kind="mixed")
     for i, form in ((2, "New York"), (9, "")):
-        parsed[i].tokens[0] = replace(parsed[i].tokens[0], form=form)
+        parsed[i].tokens[0] = parsed[i].tokens[0]._replace(form=form)
     parsed_path = tmp_path / "parsed.conllu"
     parsed_path.write_text(serialize_conllu(parsed) + "1\tbroken\n\n", encoding="utf-8")
     out = tmp_path / "synth"

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 from surfreal.conllu_io import (
     ConlluError,
     UdSentence,
+    UdToken,
     misc_get,
     iter_blocks,
     parse_conllu,
     parse_pairs,
     serialize_conllu,
 )
+from surfreal.deptree import NodeInfo
 from toylang import ToyLang, tok
 from treegen import FIELDS, sentences
 
@@ -137,3 +141,19 @@ def test_misc_helpers():
     assert misc_get(misc, "SpaceAfter") == "No"
     assert misc_get(misc, "nope") is None
     assert misc_get("_", "original_id") is None
+
+
+@pytest.mark.parametrize("row", [
+    UdToken(3, "dogs", "dog", "NOUN", "_", "Number=Plur", 2, "nsubj", "_", "_"),
+    NodeInfo(lemma="dog", upos="NOUN", feats="Number=Plur", deprel="nsubj"),
+])
+def test_row_types_are_immutable_and_pickle(row):
+    with pytest.raises(AttributeError):
+        row.lemma = "cat"
+    changed = row._replace(lemma="cat")
+    assert changed.lemma == "cat" and row.lemma == "dog"
+    assert changed._replace(lemma="dog") == row
+    assert row == tuple(row)
+    copy = pickle.loads(pickle.dumps(row))
+    assert copy == row and type(copy) is type(row)
+    assert hash(copy) == hash(row)

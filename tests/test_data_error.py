@@ -5,10 +5,10 @@ import pytest
 
 from surfreal import ConlluError, DataError, NGramModel, bleu4, evaluate, train_ngram
 from surfreal.conllu_io import parse_conllu
-from surfreal.deptree import shallow_transform
+from surfreal.deptree import shallow_transform, strip_alignment
 from surfreal.linearizer import emit_training_pairs
 from surfreal.ngram import BOS, UNK
-from surfreal.realizer import NGramScorer, beam_realize, build_form_lexicon
+from surfreal.realizer import NGramScorer, OracleScorer, beam_realize, build_form_lexicon
 from surfreal.synthpipe import FilterPolicy, Vocabulary
 from toylang import ToyLang
 
@@ -57,6 +57,16 @@ def test_corpus_faults():
                  lambda: bleu4([], []), lambda: bleu4(hyps, hyps[:1])):
         with pytest.raises(DataError):
             call()
+
+
+def test_dataset_faults():
+    refs = ToyLang(seed=3).corpus(2)
+    unaligned = strip_alignment(shallow_transform(refs[0], 0))
+    with pytest.raises(DataError, match="need reference forms"):
+        emit_training_pairs([unaligned], 1, scoped=False, with_forms=False, lexicon=None,
+                            rng_seed=0)
+    with pytest.raises(DataError, match="needs an aligned reference"):
+        OracleScorer(unaligned)
 
 
 def test_usage_faults_are_not_data_errors():

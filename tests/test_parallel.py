@@ -1,10 +1,12 @@
+import multiprocessing
 import os
+import time
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from surfreal.parallel import parallel_map
+from surfreal.parallel import READ_AHEAD_PER_JOB, parallel_map
 
 
 def _affine(x: int, scale: int, offset: int) -> tuple[int, int]:
@@ -15,22 +17,105 @@ def _pid(_item) -> int:
     return os.getpid()
 
 
+def _touch(x: int, folder: Path) -> int:
+    time.sleep(0.005)
+    (folder / str(x)).touch()
+    return x
+
+
+def _fail_at(x: int, bad: int) -> int:
+    if x == bad:
+        raise KeyError(f"item {x}")
+    return x
+
+
+class CountingItems:
+    """An input iterator that counts how many items were pulled from it."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> int:
+        if self.pulled == self.n:
+            raise StopIteration
+        self.pulled += 1
+        return self.pulled - 1
+
+
+def _no_children_within(timeout_s: float) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_parallel_map_equals_list_comprehension(jobs):
     fn = partial(_affine, scale=3, offset=-7)
     for n in (0, 1, 2 * jobs - 1, 2 * jobs, 2 * jobs + 1, 50):
         items = [(i * 37) % 101 for i in range(n)]
-        assert parallel_map(fn, items, jobs) == [fn(item) for item in items], n
+        assert list(parallel_map(fn, items, jobs)) == [fn(item) for item in items], n
         # any iterable, consumed once
-        assert parallel_map(fn, iter(items), jobs) == [fn(item) for item in items], n
+        assert list(parallel_map(fn, iter(items), jobs)) == [fn(item) for item in items], n
+
+
+def test_inputs_longer_than_the_read_ahead_window():
+    fn = partial(_affine, scale=2, offset=1)
+    n = 3 * READ_AHEAD_PER_JOB * 2 + 5
+    assert list(parallel_map(fn, iter(range(n)), 2)) == [fn(i) for i in range(n)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_first_result_comes_within_the_read_ahead_window(jobs):
+    fn = partial(_affine, scale=1, offset=0)
+    items = CountingItems(10 * READ_AHEAD_PER_JOB * jobs)
+    results = parallel_map(fn, items, jobs)
+    try:
+        assert next(results) == (0, 0)
+        assert items.pulled <= READ_AHEAD_PER_JOB * jobs
+    finally:
+        results.close()
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_workers_start_at_two_items_per_job(jobs):
-    below = parallel_map(_pid, range(2 * jobs - 1), jobs)
+    below = list(parallel_map(_pid, range(2 * jobs - 1), jobs))
     assert set(below) == {os.getpid()}
-    at = parallel_map(_pid, range(2 * jobs), jobs)
+    at = list(parallel_map(_pid, range(2 * jobs), jobs))
     assert os.getpid() not in at
+
+
+def test_closing_early_stops_the_workers(tmp_path):
+    results = parallel_map(partial(_touch, folder=tmp_path), range(5000), 2)
+    assert next(results) == 0
+    results.close()
+    assert _no_children_within(10.0)
+    # the chunks no worker had started were cancelled, so far less than
+    # the window of items in flight was worked on
+    assert len(list(tmp_path.iterdir())) < READ_AHEAD_PER_JOB * 2
+
+
+def test_consumer_exception_stops_the_workers():
+    def consume():
+        for _ in parallel_map(partial(_affine, scale=1, offset=0), range(5000), 2):
+            raise RuntimeError("consumer gave up")
+
+    with pytest.raises(RuntimeError, match="consumer gave up"):
+        consume()
+    assert _no_children_within(10.0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_exception_reaches_the_consumer(jobs):
+    with pytest.raises(KeyError, match="item 700"):
+        list(parallel_map(partial(_fail_at, bad=700), range(2000), jobs))
+    assert _no_children_within(10.0)
 
 
 def test_process_pool_is_created_only_by_parallel_map():

@@ -1,6 +1,5 @@
 import unicodedata
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -87,17 +86,17 @@ def test_nfc_applies_to_forms_and_lemmas():
     # only the lemma decomposed: only the lemma changes
     lemma_only = UdSentence(tokens=[tok(1, composed, decomposed, "NOUN", "_", 0, "root")])
     [got] = nfc_sentence(lemma_only).tokens
-    assert got == replace(lemma_only.tokens[0], lemma=composed)
+    assert got == lemma_only.tokens[0]._replace(lemma=composed)
     # FEATS and MISC are not normalized, whether or not form and lemma are
     for form in ("x", decomposed):
-        raw = replace(tok(1, form, "x", "X", decomposed, 0, "root"), misc=decomposed)
+        raw = tok(1, form, "x", "X", decomposed, 0, "root")._replace(misc=decomposed)
         [got] = nfc_sentence(UdSentence(tokens=[raw])).tokens
-        assert got == replace(raw, form=unicodedata.normalize("NFC", form))
+        assert got == raw._replace(form=unicodedata.normalize("NFC", form))
         assert (got.feats, got.misc) == (decomposed, decomposed)
 
 
 def _accent_sentence_nfc():
-    return UdSentence(tokens=[replace(t, form=unicodedata.normalize("NFC", t.form),
+    return UdSentence(tokens=[t._replace(form=unicodedata.normalize("NFC", t.form),
                                       lemma=unicodedata.normalize("NFC", t.lemma))
                               for t in _accent_sentence().tokens])
 
@@ -198,7 +197,7 @@ def test_forms_refs_cannot_carry_count_as_malformed():
     vocab = build_vocab([s.forms() for s in corpus], min_count=1)
     odd = {3: "New York", 8: "", 13: "a\u00a0b", 21: "tab\x0bbed", 30: " lead"}
     for i, form in odd.items():
-        corpus[i].tokens[0] = replace(corpus[i].tokens[0], form=form)
+        corpus[i].tokens[0] = corpus[i].tokens[0]._replace(form=form)
     text = noisy_corpus_text(seed=78, n=30) + serialize_conllu(corpus)
     policy = FilterPolicy(min_len=1, max_len=100, overlap_threshold=0.0)
     dataset, stats = build_synthetic_dataset(text, vocab, policy, rng_seed=5)
