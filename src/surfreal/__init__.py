@@ -21,7 +21,7 @@ from .realizer import (
     beam_realize,
     build_form_lexicon,
 )
-from .synthpipe import FilterPolicy, SynthStats, Vocabulary, build_synthetic_dataset, build_vocab
+from .synthpipe import FilterPolicy, SynthStats, build_synthetic_dataset, build_vocab
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "ConlluError", "DataError", "UdSentence", "UdToken", "parse_conllu", "serialize_conllu",
     "DepTree", "ShallowSentence", "build_tree", "shallow_transform", "strip_alignment",
     "LinearSeq", "linearize", "append_form_list", "emit_training_pairs",
-    "FilterPolicy", "SynthStats", "Vocabulary", "build_vocab", "build_synthetic_dataset",
+    "FilterPolicy", "SynthStats", "build_vocab", "build_synthetic_dataset",
     "NGramModel", "train_ngram",
     "FormLexicon", "Scorer", "NGramScorer", "OracleScorer", "RealizationResult",
     "allowed_continuations", "beam_realize", "build_form_lexicon",

@@ -183,8 +183,7 @@ def cmd_pairs(args) -> int:
     if args.lexicon is not None:
         lexicon = build_form_lexicon(_read_gold(args.lexicon))
         inputs.append(args.lexicon)
-    pairs = emit_training_pairs(dataset, args.k, scoped=args.scoped,
-                                with_forms=args.with_forms, lexicon=lexicon,
+    pairs = emit_training_pairs(dataset, args.k, scoped=args.scoped, lexicon=lexicon,
                                 rng_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

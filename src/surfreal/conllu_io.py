@@ -84,12 +84,6 @@ class UdSentence:
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
 
-    def root_id(self) -> int:
-        for t in self.tokens:
-            if t.head == 0:
-                return t.id
-        raise ConlluError("sentence has no root")
-
 
 def parse_pairs(column: str) -> list[tuple[str, str]]:
     """Split a FEATS/MISC column into (key, value) pairs, in file order.

@@ -20,7 +20,9 @@ from .conllu_io import DataError, UdSentence
 from .parallel import parallel_map
 
 MAX_ORDER = 4
-DEFAULT_BOUNDARIES = (10, 20, 30, 40, 50, 60)
+# reference-length buckets: below the first boundary, between neighbours, from the last up
+BUCKET_BOUNDARIES = (10, 20, 30, 40, 50, 60)
+BUCKET_LABELS = ("<10", "10-20", "20-30", "30-40", "40-50", "50-60", "60+")
 
 
 class ErrorCategory(Enum):
@@ -206,37 +208,24 @@ class BucketRow:
     counts: BleuCounts
 
 
-def bucket_labels(boundaries: tuple[int, ...] | list[int]) -> list[str]:
-    labels = [f"<{boundaries[0]}"]
-    labels += [f"{a}-{b}" for a, b in zip(boundaries, boundaries[1:])]
-    labels.append(f"{boundaries[-1]}+")
-    return labels
-
-
-def _bucket_rows(scored: Iterable[tuple[int, BleuCounts]], boundaries) -> list[BucketRow]:
+def _bucket_rows(scored: Iterable[tuple[int, BleuCounts]]) -> list[BucketRow]:
     """Sum (reference length, pair counts) items into one row per length bucket."""
-    labels = bucket_labels(boundaries)
-    sums = [BleuCounts() for _ in labels]
-    counts = [0] * len(labels)
+    sums = [BleuCounts() for _ in BUCKET_LABELS]
+    counts = [0] * len(BUCKET_LABELS)
     for ref_len, pair in scored:
-        idx = sum(1 for b in boundaries if ref_len >= b)
+        idx = sum(1 for b in BUCKET_BOUNDARIES if ref_len >= b)
         sums[idx] = sums[idx] + pair
         counts[idx] += 1
     return [
         BucketRow(label=label, count=counts[i], counts=sums[i],
                   bleu=sums[i].score() if counts[i] else None)
-        for i, label in enumerate(labels)
+        for i, label in enumerate(BUCKET_LABELS)
     ]
 
 
-def bucket_report(
-    pairs: list[tuple[list[str], list[str]]],
-    boundaries: tuple[int, ...] | list[int] = DEFAULT_BOUNDARIES,
-) -> list[BucketRow]:
+def bucket_report(pairs: list[tuple[list[str], list[str]]]) -> list[BucketRow]:
     """Corpus BLEU per reference-length bucket; empty buckets score None."""
-    if list(boundaries) != sorted(set(boundaries)):
-        raise ValueError("boundaries must be strictly increasing")
-    return _bucket_rows(((len(ref), pair_counts(hyp, ref)) for hyp, ref in pairs), boundaries)
+    return _bucket_rows((len(ref), pair_counts(hyp, ref)) for hyp, ref in pairs)
 
 
 @dataclass
@@ -287,7 +276,6 @@ def evaluate(
     hyps: list[list[str]],
     ref_corpus: list[UdSentence],
     mode: str = "tokenized",
-    extra_lemmas: dict[str, str] | None = None,
     jobs: int = 1,
 ) -> EvalReport:
     """Assemble the full report for aligned hypothesis/reference corpora.
@@ -305,12 +293,9 @@ def evaluate(
     _check_aligned(hyps, ref_corpus)
 
     table = corpus_lemma_table(ref_corpus)
-    if extra_lemmas:
-        table.update(extra_lemmas)
     scored = list(parallel_map(partial(_eval_pair, mode=mode, table=table),
                                zip(hyps, ref_corpus), jobs))
-    rows = _bucket_rows(((ref_len, counts) for ref_len, counts, _ in scored),
-                        DEFAULT_BOUNDARIES)
+    rows = _bucket_rows((ref_len, counts) for ref_len, counts, _ in scored)
     errors = Counter(category for _, _, category in scored)
     corpus = BleuCounts()
     for row in rows:

@@ -45,12 +45,9 @@ class LinearSeq:
     tokens: list[str]
     node_of: dict[int, int] = field(default_factory=dict)
 
-    def lemma_positions(self) -> list[int]:
-        return sorted(self.node_of)
-
     def node_order(self) -> list[int]:
         """Node ids in traversal order."""
-        return [self.node_of[p] for p in self.lemma_positions()]
+        return [self.node_of[p] for p in sorted(self.node_of)]
 
     def text(self) -> str:
         return " ".join(self.tokens)
@@ -119,7 +116,6 @@ def emit_training_pairs(
     dataset: list[ShallowSentence],
     k_linearizations: int,
     scoped: bool,
-    with_forms: bool,
     lexicon,
     rng_seed: int,
 ) -> list[tuple[str, str]]:
@@ -129,7 +125,8 @@ def emit_training_pairs(
     consuming the file in order sees each sentence once per block; the
     seed for sentence i in block e is ``rng_seed + e*len(dataset) + i``,
     distinct across all pairs.  Targets are the reference forms and never
-    vary between blocks.
+    vary between blocks.  With a ``lexicon`` every source gets its form
+    list (see :func:`append_form_list`); with None it gets none.
     """
     if k_linearizations < 1:
         raise ValueError("k_linearizations must be >= 1")
@@ -142,7 +139,7 @@ def emit_training_pairs(
     for e in range(k_linearizations):
         for i, s in enumerate(dataset):
             seq = linearize(s, rng_seed + e * len(dataset) + i, scoped=scoped)
-            if with_forms:
+            if lexicon is not None:
                 seq = append_form_list(seq, lexicon, s.tree)
             pairs.append((seq.text(), targets[i]))
     return pairs

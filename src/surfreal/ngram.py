@@ -105,10 +105,13 @@ class NGramModel:
                 vocab_size = int(header[3].removeprefix("vocab="))
                 counts: dict[int, dict[tuple, Counter]] = {}
                 for line in fh:
-                    k_str, ctx_str, token, count = line.rstrip("\n").split("\t")
+                    k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
                     ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
+                    count = int(count_str)
+                    if count < 1:  # save writes only observed n-grams
+                        raise ValueError(f"count {count} for {token!r} is below 1")
                     by_ctx = counts.setdefault(int(k_str), {})
-                    by_ctx.setdefault(ctx, Counter())[token] = int(count)
+                    by_ctx.setdefault(ctx, Counter())[token] = count
             vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
             if len(vocab) != vocab_size:
                 raise ValueError(f"vocab size mismatch: header {vocab_size}, "

@@ -245,9 +245,12 @@ def beam_realize(
         # stable: equal scores keep generation order
         order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
+        # a survivor's slot is at most its parent's plus the survivors before it,
+        # so no slot above top is ever taken and the table need not reach beam_size
+        top = min(beam_size, max(slots) + len(scores))
         # union-find over slots: next_free[s] chases the lowest free slot >= s;
-        # beam_size + 1 is the overflow sentinel meaning "prune"
-        next_free = list(range(beam_size + 2))
+        # top + 1 is the overflow sentinel meaning "prune"
+        next_free = list(range(top + 2))
 
         def _free_slot(slot: int) -> int:
             root = slot
@@ -262,7 +265,7 @@ def beam_realize(
         for i in order:
             parent_index = parent_of[i]
             slot = _free_slot(parent_slots[parent_index])
-            if slot > beam_size:
+            if slot > top:
                 continue
             next_free[slot] = slot + 1
             parent = parents[parent_index]

@@ -39,47 +39,30 @@ class FilterPolicy:
             raise ValueError(f"overlap_threshold must be in [0, 1], got {self.overlap_threshold}")
 
 
-class Vocabulary:
+def build_vocab(sentences: Iterable[list[str]], min_count: int) -> frozenset[str]:
     """Surface forms seen at least min_count times in the original data."""
-
-    def __init__(self, counts: Counter, min_count: int):
-        if min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        self.tokens = {t for t, c in counts.items() if c >= min_count}
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.tokens
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def build_vocab(sentences: Iterable[list[str]], min_count: int) -> Vocabulary:
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
     counts = Counter()
     for tokens in sentences:
         counts.update(tokens)
-    return Vocabulary(counts, min_count)
+    return frozenset(t for t, c in counts.items() if c >= min_count)
 
 
-@dataclass(frozen=True)
-class FilterDecision:
-    keep: bool
-    reason: str | None = None
+def filter_sentence(tokens: list[str], vocab: frozenset[str], policy: FilterPolicy) -> str | None:
+    """Why a sentence is rejected, or None to keep it.
 
-
-def filter_sentence(tokens: list[str], vocab: Vocabulary, policy: FilterPolicy) -> FilterDecision:
-    """Length test first, then instance-level vocabulary overlap.
-
+    Length test first, then instance-level vocabulary overlap.
     Overlap = in-vocab token count / token count, case-sensitive,
     punctuation included; the threshold comparison is inclusive.
     """
     n = len(tokens)
     if not policy.min_len <= n <= policy.max_len:
-        return FilterDecision(False, REASON_LENGTH)
+        return REASON_LENGTH
     in_vocab = sum(1 for t in tokens if t in vocab)
     if in_vocab / n < policy.overlap_threshold:
-        return FilterDecision(False, REASON_OVERLAP)
-    return FilterDecision(True)
+        return REASON_OVERLAP
+    return None
 
 
 @dataclass
@@ -120,7 +103,7 @@ def nfc_sentence(sentence: UdSentence) -> UdSentence:
                       ignored_lines=list(sentence.ignored_lines))
 
 
-def _sift_block(block: list[str], vocab: Vocabulary, policy: FilterPolicy) -> UdSentence | str:
+def _sift_block(block: list[str], vocab: frozenset[str], policy: FilterPolicy) -> UdSentence | str:
     """Parse, normalize and filter one block: the sentence, or why it was rejected."""
     try:
         sentence = parse_block(block)
@@ -129,13 +112,13 @@ def _sift_block(block: list[str], vocab: Vocabulary, policy: FilterPolicy) -> Ud
     sentence = nfc_sentence(sentence)
     if unwritable_form(sentence) is not None:
         return REASON_MALFORMED
-    decision = filter_sentence(sentence.forms(), vocab, policy)
-    return sentence if decision.keep else decision.reason
+    reason = filter_sentence(sentence.forms(), vocab, policy)
+    return sentence if reason is None else reason
 
 
 def build_synthetic_dataset(
     text: str,
-    vocab: Vocabulary,
+    vocab: frozenset[str],
     policy: FilterPolicy,
     rng_seed: int,
     jobs: int = 1,

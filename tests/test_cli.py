@@ -227,6 +227,16 @@ def test_data_errors(tmp_path, capsys):
     assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
                  "--lm", str(garbage_lm), "--lexicon", str(gold),
                  "--out", str(tmp_path / "h.txt")]) == 2
+    lm_lines = (tmp_path / "lm.ngrams").read_text(encoding="utf-8").splitlines()
+    assert lm_lines[1].startswith("1\t\t")  # the first unigram count
+    lm_lines[1] = lm_lines[1].rsplit("\t", 1)[0] + "\t-5"
+    negative_lm = tmp_path / "negative.ngrams"
+    negative_lm.write_text("\n".join(lm_lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
+                 "--lm", str(negative_lm), "--lexicon", str(gold),
+                 "--out", str(tmp_path / "h.txt")]) == 2
+    assert "not a valid n-gram count file" in capsys.readouterr().err
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("only one line\n", encoding="utf-8")
     assert main(["eval", "--hyp", str(hyp), "--ref", str(gold)]) == 2

@@ -26,7 +26,6 @@ def test_parse_basic_block(fixture_text):
     assert first.forms() == ["The", "cats", "see", "a", "dog", "."]
     assert first.tokens[1].lemma == "cat"
     assert first.tokens[2].head == 0
-    assert first.root_id() == 3
     assert first.comments == ["# sent_id = fx-001", "# text = The cats see a dog."]
 
 

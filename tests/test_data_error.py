@@ -9,7 +9,7 @@ from surfreal.deptree import shallow_transform, strip_alignment
 from surfreal.linearizer import emit_training_pairs
 from surfreal.ngram import BOS, UNK
 from surfreal.realizer import NGramScorer, OracleScorer, beam_realize, build_form_lexicon
-from surfreal.synthpipe import FilterPolicy, Vocabulary
+from surfreal.synthpipe import FilterPolicy, build_vocab
 from toylang import ToyLang
 
 
@@ -37,6 +37,8 @@ def test_training_data_faults(sentences, message):
     b"not a model\n",
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\n",
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\tmany\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t-5\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t0\n",
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=2\n1\t\ta\t1\n",
     b"ngram-counts-v1\torder=0\tlambda=0.7\tvocab=1\n1\t\ta\t1\n",
     b"ngram-counts-v1\torder=3\tlambda=1.5\tvocab=1\n1\t\ta\t1\n",
@@ -63,8 +65,7 @@ def test_dataset_faults():
     refs = ToyLang(seed=3).corpus(2)
     unaligned = strip_alignment(shallow_transform(refs[0], 0))
     with pytest.raises(DataError, match="need reference forms"):
-        emit_training_pairs([unaligned], 1, scoped=False, with_forms=False, lexicon=None,
-                            rng_seed=0)
+        emit_training_pairs([unaligned], 1, scoped=False, lexicon=None, rng_seed=0)
     with pytest.raises(DataError, match="needs an aligned reference"):
         OracleScorer(unaligned)
 
@@ -77,11 +78,10 @@ def test_usage_faults_are_not_data_errors():
         lambda: train_ngram([["a"]], order=0),
         lambda: train_ngram([["a"]], lam=1.0),
         lambda: evaluate([s.forms() for s in refs], refs, mode="fancy"),
-        lambda: emit_training_pairs([sentence], 0, scoped=False, with_forms=False,
-                                    lexicon=None, rng_seed=0),
+        lambda: emit_training_pairs([sentence], 0, scoped=False, lexicon=None, rng_seed=0),
         lambda: beam_realize(sentence, NGramScorer(model), 0, build_form_lexicon(refs)),
         lambda: FilterPolicy(min_len=0),
-        lambda: Vocabulary({}, 0),
+        lambda: build_vocab([], 0),
     ]
     for call in calls:
         with pytest.raises(ValueError) as info:

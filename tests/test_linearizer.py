@@ -90,7 +90,7 @@ def test_projection_property_on_random_trees(toy):
     for i, gold in enumerate(toy.corpus(30, kind="mixed")):
         s = shallow_transform(gold, seed=i)
         seq = linearize(s, 1000 + i, scoped=True)
-        lemma_tokens = [seq.tokens[p] for p in seq.lemma_positions()]
+        lemma_tokens = [seq.tokens[p] for p in sorted(seq.node_of)]
         markers = [t for t in seq.tokens if t in (OPEN, CLOSE)]
         assert len(lemma_tokens) + len(markers) == len(seq.tokens)
         assert Counter(lemma_tokens) == Counter(
@@ -136,7 +136,7 @@ def test_literal_parentheses_are_escaped():
         tok(3, ")", ")", "PUNCT", "_", 2, "punct"),
     ])
     seq = linearize(s, 0, scoped=True)
-    lemmas = [seq.tokens[p] for p in seq.lemma_positions()]
+    lemmas = [seq.tokens[p] for p in sorted(seq.node_of)]
     assert sorted(lemmas) == ["-lrb-", "-rrb-", "ok"]
     assert seq.tokens.count(OPEN) == 1 and seq.tokens.count(CLOSE) == 1
 
@@ -210,14 +210,12 @@ def test_segments_follow_traversal_order_and_match_count_oracle(toy):
 
 
 def test_single_sentence_single_pair():
-    pairs = emit_training_pairs([single_node()], 1, scoped=False, with_forms=False,
-                                lexicon=None, rng_seed=0)
+    pairs = emit_training_pairs([single_node()], 1, scoped=False, lexicon=None, rng_seed=0)
     assert pairs == [("run", "run")]
 
 
 def test_targets_never_vary():
-    pairs = emit_training_pairs([fork()], 3, scoped=False, with_forms=False,
-                                lexicon=None, rng_seed=5)
+    pairs = emit_training_pairs([fork()], 3, scoped=False, lexicon=None, rng_seed=5)
     assert len(pairs) == 3
     assert {tgt for _, tgt in pairs} == {"r x y"}
 
@@ -225,8 +223,7 @@ def test_targets_never_vary():
 def test_epoch_blocks_interleave_sentences(toy):
     gold = toy.corpus(10, kind="medium")
     dataset = [shallow_transform(s, seed=i) for i, s in enumerate(gold)]
-    pairs = emit_training_pairs(dataset, 60, scoped=True, with_forms=False,
-                                lexicon=None, rng_seed=17)
+    pairs = emit_training_pairs(dataset, 60, scoped=True, lexicon=None, rng_seed=17)
     assert len(pairs) == 600
     targets = [" ".join(s.reference_forms) for s in dataset]
     for block in range(60):
@@ -240,11 +237,9 @@ def test_epoch_blocks_interleave_sentences(toy):
 def test_pairs_require_reference_forms():
     bare = ShallowSentence(tree=fork().tree)
     with pytest.raises(ValueError, match="reference"):
-        emit_training_pairs([bare], 1, scoped=False, with_forms=False,
-                            lexicon=None, rng_seed=0)
+        emit_training_pairs([bare], 1, scoped=False, lexicon=None, rng_seed=0)
     with pytest.raises(ValueError, match=">= 1"):
-        emit_training_pairs([fork()], 0, scoped=False, with_forms=False,
-                            lexicon=None, rng_seed=0)
+        emit_training_pairs([fork()], 0, scoped=False, lexicon=None, rng_seed=0)
 
 
 def test_target_side_escapes_parentheses():
@@ -252,9 +247,18 @@ def test_target_side_escapes_parentheses():
         tok(1, "(", "(", "PUNCT", "_", 2, "punct"),
         tok(2, "ok", "ok", "ADJ", "_", 0, "root"),
     ])
-    [(src, tgt)] = emit_training_pairs([s], 1, scoped=False, with_forms=False,
-                                       lexicon=None, rng_seed=0)
+    [(src, tgt)] = emit_training_pairs([s], 1, scoped=False, lexicon=None, rng_seed=0)
     assert tgt == "-lrb- ok"
+
+
+def test_form_lists_follow_the_lexicon():
+    s = as_shallow(copula_ref("am").tokens)
+    [(plain, tgt)] = emit_training_pairs([s], 1, scoped=False, lexicon=None, rng_seed=0)
+    [(listed, same_tgt)] = emit_training_pairs([s], 1, scoped=False,
+                                               lexicon=lexicon_with_clitic(), rng_seed=0)
+    assert FORMS_SEP not in plain.split()
+    assert listed == f"{plain} {FORMS_SEP} be = 'm | am"
+    assert tgt == same_tgt == "I am happy ."
 
 
 def test_write_pair_files(tmp_path):

@@ -12,6 +12,7 @@ tie, so the tie-break by generation order is exercised.
 
 import math
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,9 +130,9 @@ class RecordingScorer(Scorer):
 
 
 @st.composite
-def instances(draw):
-    """A random tree of 1-5 nodes with 1-3 candidate forms per node."""
-    n = draw(st.integers(1, 5))
+def instances(draw, max_nodes=5):
+    """A random tree of 1-max_nodes nodes with 1-3 candidate forms per node."""
+    n = draw(st.integers(1, max_nodes))
     ids = draw(st.permutations(range(1, n + 1)))
     heads = {ids[0]: 0}
     for k in range(1, n):
@@ -180,6 +181,23 @@ def test_beam_matches_reference(instance, scorer):
         assert got.score == want.score
         assert got.beam_size == want.beam_size == beam
         assert got_scorer.calls == want_scorer.calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(max_nodes=3), scorers())
+def test_beam_memory_follows_candidates_not_width(instance, scorer):
+    """A beam far wider than the search space returns the exhaustive result,
+    and its working memory does not grow with the requested width."""
+    sentence, lexicon = instance
+    want = beam_realize(sentence, scorer, exhaustive_beam(sentence, lexicon), lexicon)
+    tracemalloc.start()
+    try:
+        got = beam_realize(sentence, scorer, 10**6, lexicon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (got.tokens, got.node_order, got.score) == (want.tokens, want.node_order, want.score)
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
 
 
 def reference_context_key(order, history):

@@ -16,7 +16,6 @@ from surfreal.synthpipe import (
     REASON_OVERLAP,
     FilterPolicy,
     SynthStats,
-    Vocabulary,
     build_synthetic_dataset,
     build_vocab,
     filter_sentence,
@@ -28,11 +27,12 @@ from surfreal.conllu_io import UdSentence
 
 def test_vocab_min_count_boundary():
     counts = Counter({"the": 5, "cat": 2, "weasel": 1})
-    assert "cat" in Vocabulary(counts, 2)
-    assert "cat" not in Vocabulary(counts, 3)
-    assert len(Vocabulary(counts, 1)) == 3
+    sentences = [list(counts.elements())]
+    assert "cat" in build_vocab(sentences, 2)
+    assert "cat" not in build_vocab(sentences, 3)
+    assert len(build_vocab(sentences, 1)) == 3
     with pytest.raises(ValueError):
-        Vocabulary(counts, 0)
+        build_vocab(sentences, 0)
 
 
 def test_build_vocab_counts_instances():
@@ -53,23 +53,23 @@ def test_filter_checks_length_before_overlap():
     vocab = build_vocab([["a"]], 1)
     policy = FilterPolicy(min_len=5, max_len=50, overlap_threshold=0.8)
     # all-unknown but too short: the reported reason must be length
-    assert filter_sentence(["x", "y", "z"], vocab, policy).reason == REASON_LENGTH
-    assert filter_sentence(["a"] * 51, vocab, policy).reason == REASON_LENGTH
+    assert filter_sentence(["x", "y", "z"], vocab, policy) == REASON_LENGTH
+    assert filter_sentence(["a"] * 51, vocab, policy) == REASON_LENGTH
 
 
 def test_overlap_threshold_is_inclusive():
     vocab = build_vocab([["a"]], 1)
     policy = FilterPolicy(min_len=1, max_len=50, overlap_threshold=0.8)
-    assert filter_sentence(["a"] * 8 + ["x", "y"], vocab, policy).keep
-    assert filter_sentence(["a"] * 7 + ["x", "y", "z"], vocab, policy).reason == REASON_OVERLAP
+    assert filter_sentence(["a"] * 8 + ["x", "y"], vocab, policy) is None
+    assert filter_sentence(["a"] * 7 + ["x", "y", "z"], vocab, policy) == REASON_OVERLAP
 
 
 def test_overlap_counts_instances_case_sensitively():
     vocab = build_vocab([["the"]], 1)
     policy = FilterPolicy(min_len=1, max_len=50, overlap_threshold=0.8)
     # duplicates each count; "The" is not "the"
-    assert filter_sentence(["the"] * 4 + ["x"], vocab, policy).keep
-    assert not filter_sentence(["The"] * 4 + ["x"], vocab, policy).keep
+    assert filter_sentence(["the"] * 4 + ["x"], vocab, policy) is None
+    assert filter_sentence(["The"] * 4 + ["x"], vocab, policy) is not None
 
 
 def test_nfc_applies_to_forms_and_lemmas():
@@ -138,7 +138,7 @@ def noisy_corpus_text(seed: int, n: int) -> str:
     return "".join(parts)
 
 
-def reference_vocab(seed: int = 909, n: int = 400) -> Vocabulary:
+def reference_vocab(seed: int = 909, n: int = 400) -> frozenset[str]:
     toy = ToyLang(seed=seed)
     return build_vocab([s.forms() for s in toy.corpus(n, kind="mixed")], min_count=1)
 
@@ -175,7 +175,7 @@ def test_pipeline_matches_independent_filter_oracle():
     vocab = reference_vocab()
     policy = FilterPolicy()
     dataset, stats = build_synthetic_dataset(text, vocab, policy, rng_seed=7)
-    kept, (total, n_kept, by_len, by_ov, bad) = oracle_sift(text, vocab.tokens, policy)
+    kept, (total, n_kept, by_len, by_ov, bad) = oracle_sift(text, vocab, policy)
     assert (stats.input_count, stats.kept_count) == (total, n_kept)
     assert stats.rejected_by_length == by_len
     assert stats.rejected_by_overlap == by_ov
@@ -201,7 +201,7 @@ def test_forms_refs_cannot_carry_count_as_malformed():
     text = noisy_corpus_text(seed=78, n=30) + serialize_conllu(corpus)
     policy = FilterPolicy(min_len=1, max_len=100, overlap_threshold=0.0)
     dataset, stats = build_synthetic_dataset(text, vocab, policy, rng_seed=5)
-    kept, (total, n_kept, by_len, by_ov, bad) = oracle_sift(text, vocab.tokens, policy)
+    kept, (total, n_kept, by_len, by_ov, bad) = oracle_sift(text, vocab, policy)
     assert (stats.input_count, stats.kept_count, stats.rejected_malformed) == (total, n_kept, bad)
     parse_failures = sum(1 for _ in iter_blocks(text)) - len(parse_conllu(text, strict=False))
     assert stats.rejected_malformed == parse_failures + len(odd)
