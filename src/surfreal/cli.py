@@ -244,6 +244,17 @@ def cmd_eval(args) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: a process count, so at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sr", description="surface realization toolkit (shallow task pipeline)")
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=float, default=0.8)
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pairs", help="emit seq2seq training pairs")
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", type=Path, required=True, metavar="GOLD.conllu")
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--out", required=True, metavar="HYP.txt")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("eval", help="score hypotheses against a gold treebank")
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--detokenized", action="store_true",
                       help="render both sides to plain text first")
     p.add_argument("--out", metavar="REPORT.txt", help="also write a key=value report")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
 
 ALIGN_KEY = "original_id"
+_ALIGN_PREFIX = f"{ALIGN_KEY}="
 # a MISC column as shallow_to_conllu writes it when there is an alignment
 _ALIGNED_MISC = re.compile(rf"\t{ALIGN_KEY}=\d+$", re.MULTILINE)
 
@@ -69,10 +70,7 @@ class ShallowSentence:
 
 
 def build_tree(sentence: UdSentence) -> DepTree:
-    nodes = {
-        t.id: NodeInfo(lemma=t.lemma, upos=t.upos, feats=t.feats, deprel=t.deprel)
-        for t in sentence.tokens
-    }
+    nodes = {t.id: NodeInfo(t.lemma, t.upos, t.feats, t.deprel) for t in sentence.tokens}
     children: dict[int, list[int]] = {}
     root = None
     for t in sentence.tokens:
@@ -168,7 +166,11 @@ def shallow_from_conllu(
     tree = build_tree(sentence)
     alignment = {}
     for t in sentence.tokens:
-        value = misc_get(t.misc, ALIGN_KEY)
+        misc = t.misc
+        if misc.startswith(_ALIGN_PREFIX) and "|" not in misc:  # as shallow_to_conllu writes it
+            value = misc[len(_ALIGN_PREFIX):]
+        else:
+            value = misc_get(misc, ALIGN_KEY)
         if value is None:
             alignment = None
             break

@@ -28,12 +28,11 @@ LRB = "-lrb-"
 RRB = "-rrb-"
 
 
+_ESCAPES = {"(": LRB, ")": RRB}
+
+
 def escape_token(token: str) -> str:
-    if token == "(":
-        return LRB
-    if token == ")":
-        return RRB
-    return token
+    return _ESCAPES.get(token, token)
 
 
 @dataclass
@@ -61,25 +60,30 @@ def linearize(s: ShallowSentence, rng_seed: int, scoped: bool = False) -> Linear
     subtrees in a single bracket pair.
     """
     rng = random.Random(rng_seed)
-    tree = s.tree
+    nodes = s.tree.nodes
+    children = s.tree.children
     tokens: list[str] = []
     node_of: dict[int, int] = {}
-
-    def walk(node_id: int) -> None:
+    # node ids still to visit, and the CLOSE marker where a bracket pair ends; top last
+    stack: list = [s.tree.root]
+    while stack:
+        node_id = stack.pop()
+        if node_id is CLOSE:
+            tokens.append(CLOSE)
+            continue
         node_of[len(tokens)] = node_id
-        tokens.append(escape_token(tree.nodes[node_id].lemma))
-        kids = list(tree.kids(node_id))
+        lemma = nodes[node_id].lemma
+        tokens.append(_ESCAPES.get(lemma, lemma))
+        kids = children.get(node_id)
         if not kids:
-            return
-        rng.shuffle(kids)
+            continue
+        if len(kids) > 1:  # shuffle draws nothing for one item
+            kids = kids.copy()
+            rng.shuffle(kids)
         if scoped:
             tokens.append(OPEN)
-        for kid in kids:
-            walk(kid)
-        if scoped:
-            tokens.append(CLOSE)
-
-    walk(tree.root)
+            stack.append(CLOSE)
+        stack.extend(reversed(kids))
     return LinearSeq(tokens=tokens, node_of=node_of)
 
 
@@ -89,27 +93,39 @@ def append_form_list(seq: LinearSeq, lexicon, tree: DepTree) -> LinearSeq:
     A node is relevant when its (lemma, upos) pair has at least two
     distinct observed forms in the lexicon.  Each relevant node adds one
     segment ``lemma = form | form | ...`` after a reserved separator;
-    with no relevant nodes the sequence is returned unchanged.
+    with no relevant nodes the sequence is returned unchanged.  Segments
+    are built once per (lemma, upos) and kept on the lexicon.
     """
-    segments: list[list[str]] = []
+    segments = lexicon.form_list_segments
+    tokens = None
     for node_id in seq.node_order():
         info = tree.nodes[node_id]
-        forms = lexicon.relevant_forms(info.lemma, info.upos)
-        if not forms:
+        key = (info.lemma, info.upos)
+        segment = segments.get(key)
+        if segment is None:
+            segment = segments[key] = _form_list_segment(
+                info.lemma, lexicon.relevant_forms(*key))
+        if not segment:
             continue
-        segment = [escape_token(info.lemma), SEGMENT_EQ]
-        for i, (form, _count) in enumerate(forms):
-            if i:
-                segment.append(SEGMENT_OR)
-            segment.append(escape_token(form))
-        segments.append(segment)
-    if not segments:
-        return seq
-    tokens = list(seq.tokens)
-    tokens.append(FORMS_SEP)
-    for segment in segments:
+        if tokens is None:
+            tokens = list(seq.tokens)
+            tokens.append(FORMS_SEP)
         tokens.extend(segment)
+    if tokens is None:
+        return seq
     return LinearSeq(tokens=tokens, node_of=dict(seq.node_of))
+
+
+def _form_list_segment(lemma: str, forms: tuple[tuple[str, int], ...]) -> tuple[str, ...]:
+    """``lemma = form | form | ...`` for a relevant node, else ()."""
+    if not forms:
+        return ()
+    segment = [escape_token(lemma), SEGMENT_EQ]
+    for i, (form, _count) in enumerate(forms):
+        if i:
+            segment.append(SEGMENT_OR)
+        segment.append(escape_token(form))
+    return tuple(segment)
 
 
 def emit_training_pairs(
@@ -134,7 +150,7 @@ def emit_training_pairs(
     for s in dataset:
         if s.reference_forms is None:
             raise DataError("training pairs need reference forms for every sentence")
-        targets.append(" ".join(escape_token(f) for f in s.reference_forms))
+        targets.append(" ".join(map(escape_token, s.reference_forms)))
     pairs = []
     for e in range(k_linearizations):
         for i, s in enumerate(dataset):

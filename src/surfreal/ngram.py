@@ -106,11 +106,18 @@ class NGramModel:
                 counts: dict[int, dict[tuple, Counter]] = {}
                 for line in fh:
                     k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
+                    k = int(k_str)
                     ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
                     count = int(count_str)
-                    if count < 1:  # save writes only observed n-grams
+                    # save writes only observed n-grams of orders 1..order
+                    if not 1 <= k <= order:
+                        raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
+                    if len(ctx) != k - 1:
+                        raise ValueError(f"context {ctx_str!r} for {token!r} holds "
+                                         f"{len(ctx)} tokens, not {k - 1}")
+                    if count < 1:
                         raise ValueError(f"count {count} for {token!r} is below 1")
-                    by_ctx = counts.setdefault(int(k_str), {})
+                    by_ctx = counts.setdefault(k, {})
                     by_ctx.setdefault(ctx, Counter())[token] = count
             vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
             if len(vocab) != vocab_size:
@@ -133,25 +140,37 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         raise ValueError("order must be >= 1")
     if not 0 < lam < 1:
         raise ValueError("lambda must be strictly between 0 and 1")
-    vocab: set[str] = set()
-    counts: dict[int, dict[tuple, Counter]] = {k: {} for k in range(1, order + 1)}
-    n_tokens = 0
-    pad = (BOS,) * (order - 1)
     for number, sent in enumerate(references, 1):
-        for token in sent:
-            if token in (BOS, UNK):
-                raise DataError(f"sentence {number}: reserved token {token!r}")
-            if token == "" or any(ch.isspace() for ch in token):
-                raise DataError(f"sentence {number}: token {token!r} is empty or "
-                                "contains whitespace")
-        padded = pad + tuple(sent)
-        for i in range(order - 1, len(padded)):
-            token = padded[i]
-            vocab.add(token)
-            n_tokens += 1
-            for k in range(1, order + 1):
-                ctx = padded[i - k + 1 : i]
-                counts[k].setdefault(ctx, Counter())[token] += 1
-    if n_tokens == 0:
+        # one C-level pass each; the token loop only runs to name the bad token
+        if BOS in sent or UNK in sent or " ".join(sent).split() != list(sent):
+            _check_tokens(number, sent)
+    pad = (BOS,) * (order - 1)
+    padded = [pad + tuple(sent) for sent in references]
+    counts: dict[int, dict[tuple, Counter]] = {}
+    for k in range(1, order + 1):
+        # k-grams ending at real tokens, counted flat, then grouped by context;
+        # one flat table at a time
+        grams: Counter = Counter()
+        for seq in padded:
+            grams.update(zip(*(seq[order - k + j:] for j in range(k))))
+        by_ctx = counts[k] = {}
+        for gram, n in grams.items():
+            ctx = gram[:-1]
+            ctx_counts = by_ctx.get(ctx)
+            if ctx_counts is None:
+                ctx_counts = by_ctx[ctx] = Counter()
+            ctx_counts[gram[-1]] = n
+        del grams
+    if not counts[1]:
         raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
-    return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)
+    return NGramModel(order=order, lam=lam, counts=counts, vocab=set(counts[1][()]))
+
+
+def _check_tokens(number: int, sent: list[str]) -> None:
+    """Raise DataError for the first reserved, empty or whitespace-holding token."""
+    for token in sent:
+        if token in (BOS, UNK):
+            raise DataError(f"sentence {number}: reserved token {token!r}")
+        if token == "" or any(ch.isspace() for ch in token):
+            raise DataError(f"sentence {number}: token {token!r} is empty or "
+                            "contains whitespace")

@@ -11,9 +11,10 @@ test instrument that reproduces the aligned reference.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Hashable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .conllu_io import DataError, UdSentence, parse_pairs
 from .deptree import NodeInfo, ShallowSentence
@@ -22,6 +23,8 @@ from .ngram import NGramModel
 # morphological features that select an inflection; everything else
 # (lexicalized or syntactic marks) is dropped from lexicon keys
 KEPT_FEATS = frozenset({"Case", "Degree", "Mood", "Number", "Person", "Tense", "VerbForm"})
+# the token fields a lexicon row is counted by
+_LEXICON_ROW = attrgetter("lemma", "upos", "feats", "form")
 
 
 def feats_key(feats: str) -> tuple[tuple[str, str], ...]:
@@ -39,12 +42,16 @@ class FormLexicon:
 
     Lookup never fails: (lemma, upos, feats) falls back to (lemma, upos),
     then (lemma,), then to the lemma string itself with count 1.
+    ``form_list_segments`` memoizes each node's form-list segment per
+    (lemma, upos) as the node spells them (see
+    :func:`surfreal.linearizer.append_form_list`).
     """
 
     def __init__(self, full: dict, by_lemma_upos: dict, by_lemma: dict):
         self.full = full
         self.by_lemma_upos = by_lemma_upos
         self.by_lemma = by_lemma
+        self.form_list_segments: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def candidates(self, lemma: str, upos: str, feats: str) -> tuple[tuple[str, int], ...]:
         key = (lemma.lower(), upos, feats_key(feats))
@@ -67,15 +74,23 @@ class FormLexicon:
 
 
 def build_form_lexicon(gold: list[UdSentence]) -> FormLexicon:
-    full: dict[tuple, Counter] = {}
-    by_lemma_upos: dict[tuple, Counter] = {}
-    by_lemma: dict[str, Counter] = {}
+    # count each distinct (lemma, upos, feats, form) row once, then fold the
+    # counts into the three tables (_rank_forms sorts, so order does not matter)
+    rows: Counter = Counter()
     for sentence in gold:
-        for t in sentence.tokens:
-            lemma = t.lemma.lower()
-            full.setdefault((lemma, t.upos, feats_key(t.feats)), Counter())[t.form] += 1
-            by_lemma_upos.setdefault((lemma, t.upos), Counter())[t.form] += 1
-            by_lemma.setdefault(lemma, Counter())[t.form] += 1
+        rows.update(map(_LEXICON_ROW, sentence.tokens))
+    keys: dict[str, tuple] = {}
+    full: dict[tuple, Counter] = defaultdict(Counter)
+    by_lemma_upos: dict[tuple, Counter] = defaultdict(Counter)
+    by_lemma: dict[str, Counter] = defaultdict(Counter)
+    for (lemma, upos, feats, form), n in rows.items():
+        lemma = lemma.lower()
+        key = keys.get(feats)
+        if key is None:
+            key = keys[feats] = feats_key(feats)
+        full[lemma, upos, key][form] += n
+        by_lemma_upos[lemma, upos][form] += n
+        by_lemma[lemma][form] += n
     return FormLexicon(
         full={k: _rank_forms(c) for k, c in full.items()},
         by_lemma_upos={k: _rank_forms(c) for k, c in by_lemma_upos.items()},

@@ -197,6 +197,14 @@ def test_usage_errors(tmp_path):
                  "--out", str(tmp_path / "m"), "--order", "0"]) == 1
     assert main(["synth", "--in", str(gold), "--vocab-from", str(gold),
                  "--out", str(tmp_path / "s"), "--overlap", "1.5"]) == 1
+    # --jobs is a process count: below 1 is a usage error, before any work
+    assert main(["synth", "--in", str(gold), "--vocab-from", str(gold),
+                 "--out", str(tmp_path / "s"), "--jobs", "-3"]) == 1
+    assert main(["realize", "--in", str(ds / "shallow.conllu"), "--lm", str(tmp_path / "m"),
+                 "--lexicon", str(gold), "--out", str(tmp_path / "h.txt"), "--jobs", "0"]) == 1
+    assert main(["eval", "--hyp", str(ds / "refs.txt"), "--ref", str(gold),
+                 "--jobs", "0"]) == 1
+    assert not (tmp_path / "s").exists() and not (tmp_path / "h.txt").exists()
 
 
 def test_data_errors(tmp_path, capsys):
@@ -237,6 +245,18 @@ def test_data_errors(tmp_path, capsys):
                  "--lm", str(negative_lm), "--lexicon", str(gold),
                  "--out", str(tmp_path / "h.txt")]) == 2
     assert "not a valid n-gram count file" in capsys.readouterr().err
+    # an order outside 1..3, or a context that does not hold order - 1 tokens
+    lm_text = (tmp_path / "lm.ngrams").read_text(encoding="utf-8")
+    bigram = next(line for line in lm_text.splitlines() if line.startswith("2\t<s>\t"))
+    _order, ctx, token, count = bigram.split("\t")
+    for name, line in [("order", f"7\t{ctx}\t{token}\t{count}"),
+                       ("context", f"2\tx y z\t{token}\t{count}")]:
+        bad_lm = tmp_path / f"bad_{name}.ngrams"
+        bad_lm.write_text(lm_text.replace(bigram, line, 1), encoding="utf-8")
+        assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
+                     "--lm", str(bad_lm), "--lexicon", str(gold),
+                     "--out", str(tmp_path / "h.txt")]) == 2, name
+        assert "not a valid n-gram count file" in capsys.readouterr().err
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("only one line\n", encoding="utf-8")
     assert main(["eval", "--hyp", str(hyp), "--ref", str(gold)]) == 2

@@ -39,6 +39,10 @@ def test_training_data_faults(sentences, message):
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\tmany\n",
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t-5\n",
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t0\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t1\n7\t<s>\ta\t1\n",  # order > 3
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t1\n0\t\ta\t1\n",  # order < 1
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t1\n2\tx y z\ta\t1\n",
+    b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t<s>\ta\t1\n",  # context at order 1
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=2\n1\t\ta\t1\n",
     b"ngram-counts-v1\torder=0\tlambda=0.7\tvocab=1\n1\t\ta\t1\n",
     b"ngram-counts-v1\torder=3\tlambda=1.5\tvocab=1\n1\t\ta\t1\n",
