@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
 
 ALIGN_KEY = "original_id"
-_ALIGN_PREFIX = f"{ALIGN_KEY}="
 # a MISC column as shallow_to_conllu writes it when there is an alignment
 _ALIGNED_MISC = re.compile(rf"\t{ALIGN_KEY}=\d+$", re.MULTILINE)
 
@@ -166,11 +165,7 @@ def shallow_from_conllu(
     tree = build_tree(sentence)
     alignment = {}
     for t in sentence.tokens:
-        misc = t.misc
-        if misc.startswith(_ALIGN_PREFIX) and "|" not in misc:  # as shallow_to_conllu writes it
-            value = misc[len(_ALIGN_PREFIX):]
-        else:
-            value = misc_get(misc, ALIGN_KEY)
+        value = misc_get(t.misc, ALIGN_KEY)
         if value is None:
             alignment = None
             break

@@ -72,8 +72,7 @@ def linearize(s: ShallowSentence, rng_seed: int, scoped: bool = False) -> Linear
             tokens.append(CLOSE)
             continue
         node_of[len(tokens)] = node_id
-        lemma = nodes[node_id].lemma
-        tokens.append(_ESCAPES.get(lemma, lemma))
+        tokens.append(escape_token(nodes[node_id].lemma))
         kids = children.get(node_id)
         if not kids:
             continue
@@ -87,16 +86,21 @@ def linearize(s: ShallowSentence, rng_seed: int, scoped: bool = False) -> Linear
     return LinearSeq(tokens=tokens, node_of=node_of)
 
 
-def append_form_list(seq: LinearSeq, lexicon, tree: DepTree) -> LinearSeq:
+def append_form_list(
+    seq: LinearSeq, lexicon, tree: DepTree,
+    *, segments: dict[tuple[str, str], tuple[str, ...]] | None = None,
+) -> LinearSeq:
     """Append inflection candidates for each relevant node, in traversal order.
 
     A node is relevant when its (lemma, upos) pair has at least two
     distinct observed forms in the lexicon.  Each relevant node adds one
     segment ``lemma = form | form | ...`` after a reserved separator;
     with no relevant nodes the sequence is returned unchanged.  Segments
-    are built once per (lemma, upos) and kept on the lexicon.
+    are built once per (lemma, upos) into ``segments``, a memo that calls
+    with the same lexicon may share (a fresh one when None).
     """
-    segments = lexicon.form_list_segments
+    if segments is None:
+        segments = {}
     tokens = None
     for node_id in seq.node_order():
         info = tree.nodes[node_id]
@@ -152,11 +156,12 @@ def emit_training_pairs(
             raise DataError("training pairs need reference forms for every sentence")
         targets.append(" ".join(map(escape_token, s.reference_forms)))
     pairs = []
+    segments: dict[tuple[str, str], tuple[str, ...]] = {}
     for e in range(k_linearizations):
         for i, s in enumerate(dataset):
             seq = linearize(s, rng_seed + e * len(dataset) + i, scoped=scoped)
             if lexicon is not None:
-                seq = append_form_list(seq, lexicon, s.tree)
+                seq = append_form_list(seq, lexicon, s.tree, segments=segments)
             pairs.append((seq.text(), targets[i]))
     return pairs
 

@@ -145,22 +145,22 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         if BOS in sent or UNK in sent or " ".join(sent).split() != list(sent):
             _check_tokens(number, sent)
     pad = (BOS,) * (order - 1)
-    padded = [pad + tuple(sent) for sent in references]
     counts: dict[int, dict[tuple, Counter]] = {}
     for k in range(1, order + 1):
-        # k-grams ending at real tokens, counted flat, then grouped by context;
-        # one flat table at a time
+        # k-grams ending at real tokens, counted flat, then moved into the
+        # by-context table, so no second full table outlives the move
         grams: Counter = Counter()
-        for seq in padded:
+        for sent in references:
+            seq = pad + tuple(sent)
             grams.update(zip(*(seq[order - k + j:] for j in range(k))))
         by_ctx = counts[k] = {}
-        for gram, n in grams.items():
+        while grams:
+            gram, n = grams.popitem()
             ctx = gram[:-1]
             ctx_counts = by_ctx.get(ctx)
             if ctx_counts is None:
                 ctx_counts = by_ctx[ctx] = Counter()
             ctx_counts[gram[-1]] = n
-        del grams
     if not counts[1]:
         raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
     return NGramModel(order=order, lam=lam, counts=counts, vocab=set(counts[1][()]))

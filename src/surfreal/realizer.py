@@ -42,16 +42,12 @@ class FormLexicon:
 
     Lookup never fails: (lemma, upos, feats) falls back to (lemma, upos),
     then (lemma,), then to the lemma string itself with count 1.
-    ``form_list_segments`` memoizes each node's form-list segment per
-    (lemma, upos) as the node spells them (see
-    :func:`surfreal.linearizer.append_form_list`).
     """
 
     def __init__(self, full: dict, by_lemma_upos: dict, by_lemma: dict):
         self.full = full
         self.by_lemma_upos = by_lemma_upos
         self.by_lemma = by_lemma
-        self.form_list_segments: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def candidates(self, lemma: str, upos: str, feats: str) -> tuple[tuple[str, int], ...]:
         key = (lemma.lower(), upos, feats_key(feats))

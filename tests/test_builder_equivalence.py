@@ -4,8 +4,8 @@
 ``reference_linearize``, ``reference_append_form_list`` and
 ``reference_shallow_from_conllu`` are the code as it was before the
 builders counted flat n-gram tables, counted lexicon rows once, walked
-trees with an explicit stack, kept form-list segments on the lexicon and
-read ``original_id`` without parsing MISC.  On generated inputs each
+trees with an explicit stack, memoized form-list segments and built tree
+nodes positionally.  On generated inputs each
 rewritten function must return an equal result, or raise the same error
 with the same message.
 """
@@ -246,15 +246,17 @@ def small_vocab_sentences(draw, max_tokens: int = 9) -> UdSentence:
 @given(st.lists(small_vocab_sentences(), min_size=1, max_size=4),
        st.lists(small_vocab_sentences(), max_size=4), st.integers(0, 2**32), st.booleans())
 def test_linearize_and_form_lists_match_reference(trees, gold, seed, scoped):
-    lexicon = build_form_lexicon(gold)  # one lexicon, so its segment memo is reused
+    lexicon = build_form_lexicon(gold)
+    segments = {}  # one memo across the trees, as emit_training_pairs shares it
     for i, sentence in enumerate(trees):
         shallow = ShallowSentence(tree=build_tree(sentence))
         seq = linearize(shallow, seed + i, scoped=scoped)
         expected = reference_linearize(shallow, seed + i, scoped=scoped)
         assert (seq.tokens, seq.node_of) == (expected.tokens, expected.node_of)
-        with_forms = append_form_list(seq, lexicon, shallow.tree)
+        with_forms = append_form_list(seq, lexicon, shallow.tree, segments=segments)
         expected = reference_append_form_list(expected, lexicon, shallow.tree)
         assert (with_forms.tokens, with_forms.node_of) == (expected.tokens, expected.node_of)
+        assert append_form_list(seq, lexicon, shallow.tree) == with_forms
 
 
 @settings(max_examples=200, deadline=None)
