@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 EMPTY = "_"
@@ -84,6 +85,21 @@ class UdSentence:
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
 
+    def __reduce__(self):
+        # rows travel as plain tuples: a NamedTuple row pickles through a
+        # Python-level __getnewargs__ call and unpickles through its __new__
+        return _rebuild_sentence, (list(map(tuple, self.tokens)), self.comments,
+                                   self.ignored_lines)
+
+
+# a UdToken from a plain tuple of its ten fields, without a Python-level call
+_as_token = partial(tuple.__new__, UdToken)
+
+
+def _rebuild_sentence(rows: list[tuple], comments: list[str],
+                      ignored_lines: list[tuple[int, str]]) -> UdSentence:
+    return UdSentence(list(map(_as_token, rows)), comments, ignored_lines)
+
 
 def parse_pairs(column: str) -> list[tuple[str, str]]:
     """Split a FEATS/MISC column into (key, value) pairs, in file order.
@@ -106,15 +122,20 @@ def misc_get(misc: str, key: str) -> str | None:
     return None
 
 
-def iter_blocks(text: str) -> Iterator[list[str]]:
-    """Group CoNLL-U text into sentence blocks of lines.
+def check_line_endings(text: str) -> None:
+    """Raise :class:`ConlluError` if ``text`` holds a carriage return.
 
-    A carriage return anywhere is a whole-file format fault (only LF line
-    endings are supported), so it raises :class:`ConlluError` even where
-    malformed blocks would be skipped.
+    Only LF line endings are supported, so a carriage return anywhere is a
+    whole-file format fault, even where malformed blocks would be skipped.
     """
     if "\r" in text:
         raise ConlluError("carriage return found: CoNLL-U input must use LF line endings")
+
+
+def iter_blocks(text: str) -> Iterator[list[str]]:
+    """Group CoNLL-U text into sentence blocks of lines; the text is first
+    checked with :func:`check_line_endings`."""
+    check_line_endings(text)
     block: list[str] = []
     for line in text.split("\n"):
         if line.strip() == "":
@@ -125,6 +146,24 @@ def iter_blocks(text: str) -> Iterator[list[str]]:
             block.append(line)
     if block:
         yield block
+
+
+def block_slices(text: str, size: int) -> Iterator[str]:
+    """Cut CoNLL-U text into consecutive slices that hold whole blocks.
+
+    Each slice but the last is longer than ``size`` characters and ends
+    right after a blank line (found as ``"\\n\\n"``), so joining the slices
+    gives back ``text``, and :func:`iter_blocks` over the slices in turn
+    yields exactly the blocks of ``iter_blocks(text)``.
+    """
+    if size < 1:
+        raise ValueError(f"slice size must be >= 1, got {size}")
+    start = 0
+    while start < len(text):
+        cut = text.find("\n\n", start + size)
+        end = len(text) if cut < 0 else cut + 2
+        yield text[start:end]
+        start = end
 
 
 def parse_block(lines: list[str]) -> UdSentence:

@@ -118,11 +118,24 @@ class NGramModel:
                     if count < 1:
                         raise ValueError(f"count {count} for {token!r} is below 1")
                     by_ctx = counts.setdefault(k, {})
-                    by_ctx.setdefault(ctx, Counter())[token] = count
+                    ctx_counts = by_ctx.get(ctx)
+                    if ctx_counts is None:
+                        ctx_counts = by_ctx[ctx] = Counter()
+                    elif token in ctx_counts:
+                        raise ValueError(f"repeated order-{k} count for {token!r} "
+                                         f"after {ctx_str!r}")
+                    ctx_counts[token] = count
             vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
             if len(vocab) != vocab_size:
                 raise ValueError(f"vocab size mismatch: header {vocab_size}, "
                                  f"counted {len(vocab)}")
+            # save writes n-grams of vocabulary tokens only, after begin markers
+            context_tokens = vocab | {BOS}
+            for k, by_ctx in counts.items():
+                for ctx, ctx_counts in by_ctx.items():
+                    if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
+                        raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
+                                         "token outside the unigram vocabulary")
             return cls(order=order, lam=lam, counts=counts, vocab=vocab)
         except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
             raise DataError(f"{path} is not a valid n-gram count file: {err}") from None

@@ -2,9 +2,10 @@
 
 It yields ``fn(item)`` for each item, in input order, for any ``jobs``,
 and as lazily as ``map``: callers that need a list call ``list()``.
-Worker processes are used only when ``jobs > 1`` and there are at least
-two items per job.  The input is read through a read-ahead window of
-``READ_AHEAD_PER_JOB * jobs`` items and cut into chunks, at most
+``jobs`` is first clamped to ``os.cpu_count()``; output never depends
+on it.  Worker processes are used only when ``jobs > 1`` and there are
+at least two items per job.  The input is read through a read-ahead
+window of ``READ_AHEAD_PER_JOB * jobs`` items and cut into chunks, at most
 ``CHUNKS_PER_JOB * jobs`` of them in flight, so memory does not grow
 with the input.  An input that ends inside the window is cut into chunks
 of ``ceil(n / (CHUNKS_PER_JOB * jobs))`` items; a longer one goes on in
@@ -20,6 +21,7 @@ started and shuts the pool down.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, islice
@@ -45,6 +47,7 @@ def _call_chunk(chunk: list) -> list:
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterator[R]:
     items = iter(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield from map(fn, items)
         return

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from surfreal.cli import main
-from surfreal.conllu_io import parse_conllu, serialize_conllu
+from surfreal.conllu_io import block_slices, parse_conllu, serialize_conllu
+from surfreal.synthpipe import SLICE_CHARS
 from test_synthpipe import noisy_corpus_text
 from toylang import ToyLang
 
@@ -257,6 +258,13 @@ def test_data_errors(tmp_path, capsys):
                      "--lm", str(bad_lm), "--lexicon", str(gold),
                      "--out", str(tmp_path / "h.txt")]) == 2, name
         assert "not a valid n-gram count file" in capsys.readouterr().err
+    # a bigram of a token outside the unigram vocabulary
+    zebra_lm = tmp_path / "zebra.ngrams"
+    zebra_lm.write_text(lm_text + f"2\t{token}\tzebra\t1\n", encoding="utf-8")
+    assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
+                 "--lm", str(zebra_lm), "--lexicon", str(gold),
+                 "--out", str(tmp_path / "h.txt")]) == 2
+    assert "outside the unigram vocabulary" in capsys.readouterr().err
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("only one line\n", encoding="utf-8")
     assert main(["eval", "--hyp", str(hyp), "--ref", str(gold)]) == 2
@@ -362,9 +370,11 @@ def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path):
     gold.write_text(serialize_conllu(ToyLang(seed=31).corpus(30, kind="mixed")),
                     encoding="utf-8")
     parsed = tmp_path / "parsed.conllu"
-    parsed.write_text(noisy_corpus_text(seed=32, n=40), encoding="utf-8")
-    # at least two items per job, so synth, realize and eval all use worker processes
-    assert len(parse_conllu(parsed.read_text(encoding="utf-8"), strict=False)) >= 6
+    parsed.write_text(noisy_corpus_text(seed=32, n=400), encoding="utf-8")
+    # at least two items per job (text slices for synth, sentences for realize and
+    # eval), so all three use worker processes on any machine with two CPUs or more
+    assert len(list(block_slices(parsed.read_text(encoding="utf-8"), SLICE_CHARS))) >= 6
+    assert len(parse_conllu(gold.read_text(encoding="utf-8"))) >= 6
 
     runs = []
     for jobs, hashseed in (("1", "0"), ("3", "1")):

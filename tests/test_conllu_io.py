@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import pytest
@@ -8,6 +9,7 @@ from surfreal.conllu_io import (
     ConlluError,
     UdSentence,
     UdToken,
+    block_slices,
     misc_get,
     iter_blocks,
     parse_conllu,
@@ -153,6 +155,40 @@ def test_row_types_are_immutable_and_pickle(row):
     assert changed.lemma == "cat" and row.lemma == "dog"
     assert changed._replace(lemma="dog") == row
     assert row == tuple(row)
-    copy = pickle.loads(pickle.dumps(row))
-    assert copy == row and type(copy) is type(row)
-    assert hash(copy) == hash(row)
+    clone = pickle.loads(pickle.dumps(row))
+    assert clone == row and type(clone) is type(row)
+    assert hash(clone) == hash(row)
+
+
+def test_sentence_pickle_and_deepcopy_keep_every_part(fixture_text):
+    sentences = parse_conllu(fixture_text)
+    assert any(s.comments for s in sentences) and any(s.ignored_lines for s in sentences)
+    for sentence in sentences:
+        for clone in (pickle.loads(pickle.dumps(sentence)), copy.deepcopy(sentence)):
+            assert clone == sentence
+            assert all(type(t) is UdToken for t in clone.tokens)
+            assert clone.tokens[0].form == sentence.tokens[0].form
+            assert serialize_conllu([clone]) == serialize_conllu([sentence])
+    deep = copy.deepcopy(sentences[0])
+    deep.comments.append("# changed")
+    assert sentences[0].comments[-1] != "# changed"
+
+
+# line text for slicing: token-like rows, comments, whitespace-only and empty lines
+_SLICE_LINES = st.lists(st.text(st.sampled_from("a1\t #_"), max_size=8), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SLICE_LINES, st.sampled_from(["", "\n", "\n\n"]), st.integers(1, 40))
+def test_slices_hold_whole_blocks(lines, ending, size):
+    text = "\n".join(lines) + ending
+    slices = list(block_slices(text, size))
+    assert "".join(slices) == text
+    assert [b for piece in slices for b in iter_blocks(piece)] == list(iter_blocks(text))
+    assert all(len(piece) > size and piece.endswith("\n\n") for piece in slices[:-1])
+    assert "" not in slices
+
+
+def test_slice_size_must_be_positive():
+    with pytest.raises(ValueError):
+        next(block_slices("1\ta\n\n", 0))

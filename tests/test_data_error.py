@@ -33,6 +33,20 @@ def test_training_data_faults(sentences, message):
         train_ngram(sentences)
 
 
+# what save writes for an order-3 model of the one sentence "The cat sleeps"
+THE_CAT_SLEEPS = (b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=3\n"
+                  b"1\t\tThe\t1\n1\t\tcat\t1\n1\t\tsleeps\t1\n"
+                  b"2\t<s>\tThe\t1\n2\tThe\tcat\t1\n2\tcat\tsleeps\t1\n"
+                  b"3\t<s> <s>\tThe\t1\n3\t<s> The\tcat\t1\n3\tThe cat\tsleeps\t1\n")
+
+
+def test_the_cat_sleeps_is_what_save_writes(tmp_path):
+    path = tmp_path / "the_cat.ngrams"
+    train_ngram([["The", "cat", "sleeps"]]).save(path)
+    assert path.read_bytes() == THE_CAT_SLEEPS
+    assert NGramModel.load(path).logprob("sleeps", ["cat"]) == pytest.approx(-0.2326, abs=1e-4)
+
+
 @pytest.mark.parametrize("data", [
     b"not a model\n",
     b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\n",
@@ -48,6 +62,10 @@ def test_training_data_faults(sentences, message):
     b"ngram-counts-v1\torder=3\tlambda=1.5\tvocab=1\n1\t\ta\t1\n",
     b"ngram-counts-v1\torder=x\tlambda=0.7\tvocab=1\n",
     b"ngram-counts-v1\torder=1\tlambda=0.5\tvocab=1\n1\t\tcaf\xe9\t1\n",  # not UTF-8
+    THE_CAT_SLEEPS + b"2\tcat\tzebra\t1\n",  # token outside the unigram vocabulary
+    THE_CAT_SLEEPS + b"3\tdog cat\tsleeps\t1\n",  # context token outside it
+    THE_CAT_SLEEPS + b"2\tcat\tsleeps\t4\n",  # a repeated (order, context, token)
+    THE_CAT_SLEEPS + b"1\t\tcat\t1\n",  # a repeated unigram
 ])
 def test_malformed_count_files(tmp_path, data):
     path = tmp_path / "bad.ngrams"

@@ -1,11 +1,13 @@
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+from surfreal import parallel
 from surfreal.parallel import READ_AHEAD_PER_JOB, parallel_map
 
 
@@ -84,11 +86,47 @@ def test_first_result_comes_within_the_read_ahead_window(jobs):
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_workers_start_at_two_items_per_job(jobs):
+def test_workers_start_at_two_items_per_job(jobs, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so jobs is not clamped
     below = list(parallel_map(_pid, range(2 * jobs - 1), jobs))
     assert set(below) == {os.getpid()}
     at = list(parallel_map(_pid, range(2 * jobs), jobs))
     assert os.getpid() not in at
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor without starting a process: each
+    chunk runs at submit, in this process; the pool sizes asked for are kept."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("cpus,workers", [(3, [3]), (1, []), (None, [])])
+def test_jobs_are_clamped_to_the_cpu_count(cpus, workers, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(parallel, "_worker_fn", None)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    fn = partial(_affine, scale=5, offset=2)
+    items = CountingItems(4 * READ_AHEAD_PER_JOB * 3)
+    results = parallel_map(fn, items, 5000)
+    assert next(results) == fn(0)
+    # the read-ahead window is sized for the clamped count, not for 5000 jobs
+    assert items.pulled <= READ_AHEAD_PER_JOB * 3
+    assert list(results) == [fn(i) for i in range(1, items.n)]
+    assert RecordingExecutor.sizes == workers
 
 
 def test_closing_early_stops_the_workers(tmp_path):

@@ -1,16 +1,21 @@
+import multiprocessing
+import os
 import unicodedata
 from collections import Counter
 
 import pytest
 
+from surfreal import synthpipe
 from surfreal.conllu_io import (
     ConlluError,
+    block_slices,
     iter_blocks,
     parse_block,
     parse_conllu,
     serialize_conllu,
 )
 from surfreal.deptree import shallow_to_conllu
+from surfreal.parallel import parallel_map
 from surfreal.synthpipe import (
     REASON_LENGTH,
     REASON_OVERLAP,
@@ -235,13 +240,61 @@ def test_seeds_follow_kept_index_not_block_index():
     assert [shallow_to_conllu(x) for x in a] == [shallow_to_conllu(y) for y in b]
 
 
-def test_parallel_run_matches_serial():
+SMALL_SLICE = 2_000
+
+
+def watch_workers(monkeypatch) -> set[int]:
+    """Pids of the worker processes alive while build_synthetic_dataset's fan-out yields."""
+    pids: set[int] = set()
+
+    def watched(fn, items, jobs):
+        for result in parallel_map(fn, items, jobs):
+            pids.update(p.pid for p in multiprocessing.active_children())
+            yield result
+
+    monkeypatch.setattr(synthpipe, "parallel_map", watched)
+    return pids
+
+
+def test_parallel_run_matches_serial(monkeypatch):
     text = noisy_corpus_text(seed=14, n=160)
     vocab = reference_vocab()
     serial, s1 = build_synthetic_dataset(text, vocab, FilterPolicy(), rng_seed=8, jobs=1)
+    # small slices, so that every job gets at least two and worker processes start
+    # whatever the CPU count
+    monkeypatch.setattr(synthpipe, "SLICE_CHARS", SMALL_SLICE)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert len(list(block_slices(text, SMALL_SLICE))) >= 2 * 3
+    workers = watch_workers(monkeypatch)
     parallel, s3 = build_synthetic_dataset(text, vocab, FilterPolicy(), rng_seed=8, jobs=3)
+    assert workers
+    assert not multiprocessing.active_children()
     assert [shallow_to_conllu(a) for a in serial] == [shallow_to_conllu(b) for b in parallel]
     assert s1 == s3
+
+
+def test_input_below_two_slices_per_job_runs_in_process(monkeypatch):
+    text = noisy_corpus_text(seed=14, n=40)
+    vocab = reference_vocab()
+    serial = build_synthetic_dataset(text, vocab, FilterPolicy(), rng_seed=8, jobs=1)
+    assert 1 < len(list(block_slices(text, synthpipe.SLICE_CHARS))) < 2 * 2
+    workers = watch_workers(monkeypatch)
+    assert build_synthetic_dataset(text, vocab, FilterPolicy(), rng_seed=8, jobs=2) == serial
+    assert not workers
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_carriage_return_in_the_last_slice_fails_the_input(jobs, monkeypatch):
+    monkeypatch.setattr(synthpipe, "SLICE_CHARS", SMALL_SLICE)
+    text = noisy_corpus_text(seed=14, n=160)
+    text = text[:-2] + "\r\n\n"
+    slices = list(block_slices(text, SMALL_SLICE))
+    assert len(slices) >= 2 * jobs
+    assert "\r" in slices[-1] and not any("\r" in piece for piece in slices[:-1])
+    workers = watch_workers(monkeypatch)
+    with pytest.raises(ConlluError, match="carriage return"):
+        build_synthetic_dataset(text, reference_vocab(), FilterPolicy(), rng_seed=8, jobs=jobs)
+    assert not workers  # the whole text is checked before any work is sent out
 
 
 def test_bigger_vocab_and_looser_policy_keep_at_least_as_much():
