@@ -9,7 +9,7 @@ import pytest
 from surfreal.cli import main
 from surfreal.conllu_io import block_slices, parse_conllu, serialize_conllu
 from surfreal.synthpipe import SLICE_CHARS
-from test_synthpipe import noisy_corpus_text
+from test_synthpipe import noisy_corpus_text, watch_workers
 from toylang import ToyLang
 
 
@@ -363,7 +363,7 @@ def _run_sr(args: list[str], hashseed: str) -> str:
     return done.stdout
 
 
-def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path):
+def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path, monkeypatch):
     """The walkthrough in fresh interpreters at --jobs 1 / PYTHONHASHSEED=0 and at
     --jobs 3 / PYTHONHASHSEED=1 writes the same bytes; manifests differ only in jobs."""
     gold = tmp_path / "gold.conllu"
@@ -375,6 +375,12 @@ def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path):
     # eval), so all three use worker processes on any machine with two CPUs or more
     assert len(list(block_slices(parsed.read_text(encoding="utf-8"), SLICE_CHARS))) >= 6
     assert len(parse_conllu(gold.read_text(encoding="utf-8"))) >= 6
+    # and this synth input does reach worker processes at --jobs 3 (three CPUs assumed)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    workers = watch_workers(monkeypatch)
+    assert main(["synth", "--in", str(parsed), "--vocab-from", str(gold), "--min-count", "1",
+                 "--out", str(tmp_path / "in_process"), "--jobs", "3"]) == 0
+    assert workers
 
     runs = []
     for jobs, hashseed in (("1", "0"), ("3", "1")):
