@@ -17,7 +17,6 @@ from .realizer import (
     OracleScorer,
     RealizationResult,
     Scorer,
-    allowed_continuations,
     beam_realize,
     build_form_lexicon,
 )
@@ -32,7 +31,7 @@ __all__ = [
     "FilterPolicy", "SynthStats", "build_vocab", "build_synthetic_dataset",
     "NGramModel", "train_ngram",
     "FormLexicon", "Scorer", "NGramScorer", "OracleScorer", "RealizationResult",
-    "allowed_continuations", "beam_realize", "build_form_lexicon",
+    "beam_realize", "build_form_lexicon",
     "ErrorCategory", "EvalReport", "bleu4", "classify_output", "detokenize", "evaluate",
     "__version__",
 ]

@@ -75,7 +75,10 @@ def _read_text(path: Path) -> str:
 
 
 def _read_ref_lines(path: Path) -> list[list[str]]:
-    return [line.split() for line in _read_text(path).splitlines()]
+    """One token list per line. Only a line feed ends a line: a form feed,
+    U+2028 or other Unicode line break inside a line is whitespace."""
+    text = _read_text(path)
+    return [line.split() for line in text.removesuffix("\n").split("\n")] if text else []
 
 
 def _write_shallow_outputs(out_dir: Path, dataset: list[ShallowSentence],

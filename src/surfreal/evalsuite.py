@@ -72,7 +72,7 @@ class BleuCounts:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def pair_counts(hyp: list[str], ref: list[str]) -> BleuCounts:

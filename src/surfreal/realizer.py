@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 from .conllu_io import DataError, UdSentence, parse_pairs
@@ -158,34 +159,12 @@ class OracleScorer(Scorer):
         return self.WRONG
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    emitted: tuple[tuple[int, str], ...]
-    remaining: frozenset[int]
-    score: float
-
-    def forms(self) -> list[str]:
-        return [form for _, form in self.emitted]
-
-
 @dataclass
 class RealizationResult:
     tokens: list[str]
     node_order: list[int]
     score: float
     beam_size: int
-
-
-def allowed_continuations(
-    hyp: Hypothesis, sentence: ShallowSentence, lexicon: FormLexicon
-) -> list[tuple[int, str]]:
-    """Every (unused node, candidate form) pair, in the canonical order:
-    ascending node id, then descending form count, then form string."""
-    out = []
-    for node_id in sorted(hyp.remaining):
-        for form, _count in lexicon.candidates_for(sentence.tree.nodes[node_id]):
-            out.append((node_id, form))
-    return out
 
 
 def beam_realize(
@@ -198,8 +177,11 @@ def beam_realize(
 
     Each step scores every candidate, in the canonical order (beam rank,
     then the canonical continuation order), and keeps only a flat score
-    per candidate; a Hypothesis is materialized only for the candidates
-    that survive the step.  ``scorer.score_next`` is called once per
+    per candidate; a hypothesis, the plain tuple (score, forms, unused node
+    ids in ascending order, node order), is built only for the candidates
+    that survive the step.  The canonical continuation order is ascending
+    node id, then the node's lexicon candidates in their order (descending
+    count, then form string).  ``scorer.score_next`` is called once per
     candidate, in that order, when ``scorer.state_key`` returns None for
     the parent's history; otherwise it is called once per distinct
     (state key, form) per sentence, for the first candidate in that
@@ -222,24 +204,23 @@ def beam_realize(
     n = tree.size()
     if n < 1:
         raise ValueError("sentence has no nodes")
-    # per node, its (node id, form) moves in candidate order; the tuples are
-    # shared by every hypothesis that emits them
+    # per node, its (node id, form) moves in candidate order; a parent's
+    # candidates are the moves of its unused nodes, in ascending node id
     moves_of = {node_id: tuple((node_id, form) for form, _count
                                in lexicon.candidates_for(tree.nodes[node_id]))
                 for node_id in tree.node_ids()}
     handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in tree.node_ids()}
     rows: dict[Hashable, dict[str, float]] = {}  # state key -> form -> delta, this sentence
 
-    beam = [Hypothesis(emitted=(), remaining=frozenset(tree.nodes), score=0.0)]
+    beam = [(0.0, (), tuple(tree.node_ids()), ())]  # (score, forms, remaining, node order)
     slots = [1]
     for _step in range(n):
         scores: list[float] = []
         moves: list[tuple[int, str]] = []  # (node id, form) per candidate
         parent_of: list[int] = []          # beam index of each candidate's parent
-        for parent_index, hyp in enumerate(beam):
-            history = hyp.forms()
-            base = hyp.score
-            block = [move for node_id in sorted(hyp.remaining) for move in moves_of[node_id]]
+        for parent_index, (base, forms, remaining, _node_order) in enumerate(beam):
+            history = list(forms)
+            block = list(chain.from_iterable(map(moves_of.__getitem__, remaining)))
             moves += block
             parent_of += [parent_index] * len(block)
             key = scorer.state_key(history)
@@ -279,22 +260,22 @@ def beam_realize(
             if slot > top:
                 continue
             next_free[slot] = slot + 1
-            parent = parents[parent_index]
-            move = moves[i]
-            beam.append(Hypothesis(emitted=parent.emitted + (move,),
-                                   remaining=parent.remaining - {move[0]},
-                                   score=scores[i]))
+            _base, forms, remaining, node_order = parents[parent_index]
+            node_id, form = moves[i]
+            k = remaining.index(node_id)
+            beam.append((scores[i], forms + (form,), remaining[:k] + remaining[k + 1:],
+                         node_order + (node_id,)))
             slots.append(slot)
             if len(beam) == beam_size:
                 break  # every slot is taken: the rest would overflow
 
     # the kept list is in score order (generation order on ties), so the
     # first element is the returned argmax
-    best = beam[0]
+    score, forms, _remaining, node_order = beam[0]
     return RealizationResult(
-        tokens=best.forms(),
-        node_order=[node_id for node_id, _ in best.emitted],
-        score=best.score,
+        tokens=list(forms),
+        node_order=list(node_order),
+        score=score,
         beam_size=beam_size,
     )
 

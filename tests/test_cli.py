@@ -131,6 +131,23 @@ def test_eval_perfect_hypotheses(pipeline, tmp_path, capsys):
     assert (tmp_path / "report.txt.manifest.json").exists()
 
 
+def test_token_lines_end_at_line_feed_only(pipeline, tmp_path, capsys):
+    """A form feed or U+2028 inside a line is whitespace, not a line break."""
+    refs = tmp_path / "refs.txt"
+    refs.write_text("the cat\x0csleeps .\nthe dog runs .\n", encoding="utf-8")
+    lm = tmp_path / "m.ngrams"
+    assert main(["train-lm", "--refs", str(refs), "--out", str(lm), "--order", "2"]) == 0
+    assert "on 2 sentences" in capsys.readouterr().err
+    assert not any(line.startswith("2\t<s>\tsleeps\t")
+                   for line in lm.read_text(encoding="utf-8").split("\n"))
+    lines = (pipeline["root"] / "ds" / "refs.txt").read_text(encoding="utf-8").split("\n")
+    lines[0] = lines[0].replace(" ", "\u2028", 1)
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["eval", "--hyp", str(hyp), "--ref", str(pipeline["gold_path"])]) == 0
+    assert "corpus BLEU-4: 100.00" in capsys.readouterr().out
+
+
 def test_eval_realized_output(pipeline, capsys):
     root = pipeline["root"]
     rc = main(["eval", "--hyp", str(root / "hyp.txt"), "--ref", str(pipeline["gold_path"])])

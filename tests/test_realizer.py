@@ -7,11 +7,9 @@ from surfreal.deptree import ShallowSentence, build_tree, shallow_transform, str
 from surfreal.ngram import train_ngram
 from surfreal.realizer import (
     FormLexicon,
-    Hypothesis,
     NGramScorer,
     NodeHandle,
     OracleScorer,
-    allowed_continuations,
     beam_realize,
     build_form_lexicon,
     feats_key,
@@ -62,40 +60,15 @@ def simple_shallow(toy=None, seed=0, kind="medium"):
     return shallow_transform(toy.sentence(kind), seed=seed)
 
 
-def test_allowed_continuations_cross_product(toy):
-    gold = toy.corpus(30, kind="mixed")
-    lexicon = build_form_lexicon(gold)
-    s = shallow_transform(gold[0], seed=1)
-    hyp = Hypothesis(emitted=(), remaining=frozenset(s.tree.nodes), score=0.0)
-    conts = allowed_continuations(hyp, s, lexicon)
-    expected = []
-    for nid in sorted(s.tree.nodes):
-        info = s.tree.nodes[nid]
-        for form, _ in lexicon.candidates(info.lemma, info.upos, info.feats):
-            expected.append((nid, form))
-    assert conts == expected
-    done = Hypothesis(emitted=tuple((n, "x") for n in s.tree.nodes),
-                      remaining=frozenset(), score=0.0)
-    assert allowed_continuations(done, s, lexicon) == []
-
-
-def test_continuation_count_matches_candidate_sizes(toy):
-    gold = toy.corpus(10, kind="short")
-    lexicon = build_form_lexicon(gold)
-    s = shallow_transform(gold[0], seed=2)
-    hyp = Hypothesis(emitted=(), remaining=frozenset(s.tree.nodes), score=0.0)
-    total = sum(len(lexicon.candidates_for(info)) for info in s.tree.nodes.values())
-    assert len(allowed_continuations(hyp, s, lexicon)) == total
-
-
 def test_oracle_scorer_marks_exactly_one_continuation_per_step(toy):
     gold = toy.sentence("medium")
     s = shallow_transform(gold, seed=3)
     lexicon = build_form_lexicon([gold])
     scorer = OracleScorer(s)
-    hyp = Hypothesis(emitted=(), remaining=frozenset(s.tree.nodes), score=0.0)
+    # the first step's continuations, in ascending node id, then candidate order
     zero_scored = [
-        (nid, form) for nid, form in allowed_continuations(hyp, s, lexicon)
+        (nid, form) for nid in sorted(s.tree.nodes)
+        for form, _count in lexicon.candidates_for(s.tree.nodes[nid])
         if scorer.score_next([], form, NodeHandle(nid, s.tree.nodes[nid])) == 0.0
     ]
     first_node = next(nid for nid, pos in s.alignment.items() if pos == 0)

@@ -1,7 +1,8 @@
 """The beam search against a straightforward reference implementation.
 
-``reference_beam_realize`` materializes a Hypothesis for every candidate,
-scores every candidate and sorts them all; ``beam_realize`` must return
+``reference_beam_realize`` materializes a ``Hypothesis`` record (defined
+here; the beam itself keeps plain tuples) for every candidate, scores
+every candidate and sorts them all; ``beam_realize`` must return
 the same tokens, node order and score (bit for bit) on random trees,
 lexicons and scorers.  With a scorer that has no state key it must call
 the scorer with the same arguments in the same order; with the n-gram
@@ -13,6 +14,7 @@ tie, so the tie-break by generation order is exercised.
 import math
 import random
 import tracemalloc
+from dataclasses import dataclass, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,6 @@ from surfreal.deptree import ShallowSentence, build_tree
 from surfreal.ngram import BOS, train_ngram
 from surfreal.realizer import (
     FormLexicon,
-    Hypothesis,
     NGramScorer,
     NodeHandle,
     RealizationResult,
@@ -32,6 +33,16 @@ from surfreal.conllu_io import UdSentence
 from toylang import tok
 
 FORMS = ["a", "b", "c", "d", "e"]
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    emitted: tuple[tuple[int, str], ...]
+    remaining: frozenset[int]
+    score: float
+
+    def forms(self) -> list[str]:
+        return [form for _, form in self.emitted]
 
 
 def reference_beam_realize(
@@ -180,6 +191,24 @@ def test_beam_matches_reference(instance, scorer):
         assert got.node_order == want.node_order
         assert got.score == want.score
         assert got.beam_size == want.beam_size == beam
+        assert got_scorer.calls == want_scorer.calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), scorers(), st.data())
+def test_beam_ignores_node_insertion_order(instance, scorer, data):
+    """The beam walks node ids in ascending order whatever order
+    ``tree.nodes`` was filled in."""
+    sentence, lexicon = instance
+    tree = sentence.tree
+    ids = data.draw(st.permutations(sorted(tree.nodes)))
+    shuffled = replace(sentence, tree=replace(tree, nodes={i: tree.nodes[i] for i in ids}))
+    for beam in (1, 3, exhaustive_beam(sentence, lexicon)):
+        want_scorer, got_scorer = RecordingScorer(scorer), RecordingScorer(scorer)
+        want = beam_realize(sentence, want_scorer, beam, lexicon)
+        got = beam_realize(shuffled, got_scorer, beam, lexicon)
+        assert (got.tokens, got.node_order, got.score) == (want.tokens, want.node_order,
+                                                            want.score)
         assert got_scorer.calls == want_scorer.calls
 
 
