@@ -13,11 +13,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Iterable
 
 from .conllu_io import DataError, UdSentence
-from .parallel import parallel_map
+from .linearizer import _ESCAPES
 
 MAX_ORDER = 4
 # reference-length buckets: below the first boundary, between neighbours, from the last up
@@ -110,6 +109,7 @@ def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
 CLOSING_PUNCT = frozenset({".", ",", "!", "?", ":", ";", "%"})
 OPEN_BRACKETS = frozenset({"(", "[", "{"})
 CLOSE_BRACKETS = frozenset({")", "]", "}"})
+_UNESCAPES = {escaped: bracket for bracket, escaped in _ESCAPES.items()}
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -124,7 +124,7 @@ def detokenize(tokens: list[str]) -> str:
     glue_next = False
     dq_open = False
     for raw in tokens:
-        token = {"-lrb-": "(", "-rrb-": ")"}.get(raw, raw)
+        token = _UNESCAPES.get(raw, raw)
         attach_left = False
         attach_right = False
         if token in CLOSING_PUNCT or token in CLOSE_BRACKETS:
@@ -260,23 +260,10 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_pair(
-    pair: tuple[list[str], UdSentence], mode: str, table: dict[str, str]
-) -> tuple[int, BleuCounts, ErrorCategory]:
-    """Reference length and BLEU counts (in ``mode``) plus the error class of one pair."""
-    hyp, ref_sentence = pair
-    category = classify_output(hyp, ref_sentence, extra_lemmas=table)
-    ref = ref_sentence.forms()
-    if mode == "detokenized":
-        hyp, ref = detokenize(hyp).split(), detokenize(ref).split()
-    return len(ref), pair_counts(hyp, ref), category
-
-
 def evaluate(
     hyps: list[list[str]],
     ref_corpus: list[UdSentence],
     mode: str = "tokenized",
-    jobs: int = 1,
 ) -> EvalReport:
     """Assemble the full report for aligned hypothesis/reference corpora.
 
@@ -284,19 +271,22 @@ def evaluate(
     given; detokenized renders both sides with :func:`detokenize` and
     compares the whitespace split.  Error classification is defined on
     tokenized text (exact match means the tokenized sentences agree), so
-    it ignores the mode.  ``jobs`` is the number of worker processes
-    scoring the pairs (see :func:`surfreal.parallel.parallel_map`);
-    results do not depend on it.
+    it ignores the mode.
     """
     if mode not in ("tokenized", "detokenized"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_aligned(hyps, ref_corpus)
 
     table = corpus_lemma_table(ref_corpus)
-    scored = list(parallel_map(partial(_eval_pair, mode=mode, table=table),
-                               zip(hyps, ref_corpus), jobs))
-    rows = _bucket_rows((ref_len, counts) for ref_len, counts, _ in scored)
-    errors = Counter(category for _, _, category in scored)
+    errors: Counter = Counter()
+    scored = []
+    for hyp, ref_sentence in zip(hyps, ref_corpus):
+        errors[classify_output(hyp, ref_sentence, extra_lemmas=table)] += 1
+        ref = ref_sentence.forms()
+        if mode == "detokenized":
+            hyp, ref = detokenize(hyp).split(), detokenize(ref).split()
+        scored.append((len(ref), pair_counts(hyp, ref)))
+    rows = _bucket_rows(scored)
     corpus = BleuCounts()
     for row in rows:
         corpus = corpus + row.counts

@@ -11,7 +11,7 @@ with the input.  An input that ends inside the window is cut into chunks
 of ``ceil(n / (CHUNKS_PER_JOB * jobs))`` items; a longer one goes on in
 chunks of the size a full window gets.  Small chunks keep the workers
 evenly loaded when item costs differ.  ``fn`` (typically a
-``functools.partial`` holding a model, vocabulary or lemma table)
+``functools.partial`` holding a model and lexicon, or a vocabulary)
 reaches each worker once, through the pool initializer.  An exception
 in a worker is raised to the consumer; it, an exception in the
 consumer, or closing the iterator early cancels the chunks not yet

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from surfreal import parallel
 from surfreal.cli import main
 from surfreal.conllu_io import block_slices, parse_conllu, serialize_conllu
 from surfreal.synthpipe import SLICE_CHARS
@@ -168,6 +169,21 @@ def test_eval_jobs_parity(pipeline, capsys):
     assert first == second
 
 
+def test_eval_starts_no_worker_process(pipeline, monkeypatch, capsys):
+    """eval scores in its own process, whatever --jobs and the CPU count say."""
+    root = pipeline["root"]
+    assert len(pipeline["gold"]) >= 6  # two pairs per job at --jobs 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("sr eval started a process pool")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    assert main(["eval", "--hyp", str(root / "hyp.txt"), "--ref", str(pipeline["gold_path"]),
+                 "--jobs", "3"]) == 0
+    assert "corpus BLEU-4:" in capsys.readouterr().out
+
+
 def test_eval_detokenized_mode(pipeline, capsys):
     root = pipeline["root"]
     rc = main(["eval", "--hyp", str(root / "hyp.txt"),
@@ -223,6 +239,15 @@ def test_usage_errors(tmp_path):
     assert main(["eval", "--hyp", str(ds / "refs.txt"), "--ref", str(gold),
                  "--jobs", "0"]) == 1
     assert not (tmp_path / "s").exists() and not (tmp_path / "h.txt").exists()
+    # --beam is a hypothesis count, checked before any input is read, so even an
+    # empty shallow file (nothing to realize) does not get past it
+    assert main(["train-lm", "--refs", str(ds / "refs.txt"), "--out", str(tmp_path / "lm")]) == 0
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("", encoding="utf-8")
+    assert main(["realize", "--in", str(empty), "--lm", str(tmp_path / "lm"), "--lexicon",
+                 str(gold), "--out", str(tmp_path / "h0.txt"), "--beam", "0"]) == 1
+    assert not (tmp_path / "h0.txt").exists()
+    assert not (tmp_path / "h0.txt.manifest.json").exists()
 
 
 def test_data_errors(tmp_path, capsys):
@@ -388,8 +413,8 @@ def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path, monkeypatch):
                     encoding="utf-8")
     parsed = tmp_path / "parsed.conllu"
     parsed.write_text(noisy_corpus_text(seed=32, n=400), encoding="utf-8")
-    # at least two items per job (text slices for synth, sentences for realize and
-    # eval), so all three use worker processes on any machine with two CPUs or more
+    # at least two items per job (text slices for synth, sentences for realize), so
+    # both use worker processes on any machine with two CPUs or more
     assert len(list(block_slices(parsed.read_text(encoding="utf-8"), SLICE_CHARS))) >= 6
     assert len(parse_conllu(gold.read_text(encoding="utf-8"))) >= 6
     # and this synth input does reach worker processes at --jobs 3 (three CPUs assumed)

@@ -412,19 +412,6 @@ def test_evaluate_validation_errors(toy):
         evaluate([s.forms() for s in refs], refs, mode="fancy")
 
 
-def test_evaluate_parallel_matches_serial(toy):
-    refs = toy.corpus(80, kind="mixed")
-    rng = random.Random(3)
-    hyps = []
-    for s in refs:
-        f = s.forms()
-        if rng.random() < 0.4:
-            i, j = rng.sample(range(len(f)), 2)
-            f[i], f[j] = f[j], f[i]
-        hyps.append(f)
-    assert evaluate(hyps, refs, jobs=1) == evaluate(hyps, refs, jobs=4)
-
-
 def test_report_formats(toy):
     refs = toy.corpus(10, kind="mixed")
     report = evaluate([s.forms() for s in refs], refs)
