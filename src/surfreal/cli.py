@@ -164,6 +164,7 @@ def _load_shallow_dataset(conllu_path: Path, refs_path: Path | None) -> list[Sha
             f"{refs_path} has {len(refs)} reference lines")
     dataset = []
     for i, sentence in enumerate(sentences):
+        sentences[i] = None  # free each parsed sentence once it is decoded
         forms = None
         if refs is not None:
             forms = tuple(refs[i])

@@ -16,6 +16,10 @@ reaches each worker once, through the pool initializer.  An exception
 in a worker is raised to the consumer; it, an exception in the
 consumer, or closing the iterator early cancels the chunks not yet
 started and shuts the pool down.
+
+The pool modules (``concurrent.futures.process`` and ``multiprocessing``)
+are imported only when workers start, so importing surfreal, a
+``jobs=1`` run or an input below two items per job never loads them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -59,6 +62,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> Iterato
     size = math.ceil(len(head) / max_in_flight)
     items = chain(head, items)
     chunks = iter(lambda: list(islice(items, size)), [])
+    from concurrent.futures import ProcessPoolExecutor  # not at module level: see above
+
     pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(fn,))
     try:
         in_flight = deque()

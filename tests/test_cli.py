@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from surfreal import parallel
 from surfreal.cli import main
 from surfreal.conllu_io import block_slices, parse_conllu, serialize_conllu
 from surfreal.synthpipe import SLICE_CHARS
@@ -178,7 +178,8 @@ def test_eval_starts_no_worker_process(pipeline, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         pytest.fail("sr eval started a process pool")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    # parallel_map imports the pool class from concurrent.futures when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["eval", "--hyp", str(root / "hyp.txt"), "--ref", str(pipeline["gold_path"]),
                  "--jobs", "3"]) == 0
     assert "corpus BLEU-4:" in capsys.readouterr().out
@@ -395,14 +396,60 @@ def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):
                  "--out", str(tmp_path / "pairs")]) == 0
 
 
-def _run_sr(args: list[str], hashseed: str) -> str:
+def _env_with_src(**extra: str) -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONHASHSEED=hashseed,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "surfreal.cli", *args], env=env,
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_sr(args: list[str], hashseed: str) -> str:
+    done = subprocess.run([sys.executable, "-m", "surfreal.cli", *args],
+                          env=_env_with_src(PYTHONHASHSEED=hashseed),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+_NO_POOL_SCRIPT = """
+import json, os, sys
+before = set(sys.modules)
+import surfreal
+from surfreal.cli import main
+from surfreal.parallel import parallel_map
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+os.cpu_count = lambda: 8  # so jobs=2 is not clamped to one process
+assert list(parallel_map(abs, [-1, -2, -3], 2)) == [1, 2, 3]  # below two items per job
+pool = ("concurrent.futures.process", "multiprocessing")
+print(json.dumps({"before": [m for m in pool if m in before],
+                  "added": [m for m in pool if m in sys.modules and m not in before]}))
+"""
+
+
+def test_pool_modules_load_only_when_workers_start(tmp_path):
+    """A fresh interpreter that imports surfreal, runs the walkthrough at --jobs 1 and
+    calls parallel_map at jobs=2 on too few items never loads the process pool's
+    modules (test_workers_start_at_two_items_per_job shows a real fan-out starts them)."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_conllu(ToyLang(seed=41).corpus(12, kind="mixed")),
+                    encoding="utf-8")
+    (tmp_path / "parsed.conllu").write_text(noisy_corpus_text(seed=42, n=40), encoding="utf-8")
+    steps = [
+        ["make-dataset", "--in", "gold.conllu", "--out", "ds"],
+        ["synth", "--in", "parsed.conllu", "--vocab-from", "gold.conllu", "--min-count", "1",
+         "--out", "synth", "--jobs", "1"],
+        ["pairs", "--in", "synth/synth.conllu", "--refs", "synth/refs.txt", "--out", "pairs"],
+        ["train-lm", "--refs", "ds/refs.txt", "--out", "lm.ngrams"],
+        ["realize", "--in", "ds/shallow.stripped.conllu", "--lm", "lm.ngrams",
+         "--lexicon", "gold.conllu", "--beam", "3", "--out", "hyp.txt", "--jobs", "1"],
+        ["eval", "--hyp", "hyp.txt", "--ref", "gold.conllu", "--jobs", "1"],
+    ]
+    done = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT, json.dumps(steps)],
+                          cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "hyp.txt").read_text(encoding="utf-8").count("\n") == 12
+    assert json.loads(done.stdout.splitlines()[-1]) == {"before": [], "added": []}
 
 
 def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import time
@@ -116,7 +117,8 @@ class RecordingExecutor:
 @pytest.mark.parametrize("cpus,workers", [(3, [3]), (1, []), (None, [])])
 def test_jobs_are_clamped_to_the_cpu_count(cpus, workers, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingExecutor)
+    # parallel_map imports the pool class from concurrent.futures when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(parallel, "_worker_fn", None)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     fn = partial(_affine, scale=5, offset=2)
