@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=float, default=0.8)
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--jobs", type=_count, default=1,
+                   help="checked (at least 1) but has no effect: synth sifts every block "
+                        "in one process; the flag stays until the benchmark stops passing it")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pairs", help="emit seq2seq training pairs")

@@ -69,17 +69,24 @@ class ShallowSentence:
 
 
 def build_tree(sentence: UdSentence) -> DepTree:
+    """The tree of a sentence under its own ids.  Raises ConlluError unless
+    exactly one token has head 0; other tree faults, such as a cycle under
+    one root, are ``validate_sentence``'s job, which ``parse_block`` runs."""
     nodes = {t.id: NodeInfo(t.lemma, t.upos, t.feats, t.deprel) for t in sentence.tokens}
     children: dict[int, list[int]] = {}
-    root = None
+    roots = []
     for t in sentence.tokens:
         if t.head == 0:
-            root = t.id
+            roots.append(t.id)
         else:
             children.setdefault(t.head, []).append(t.id)
-    if root is None:
-        raise ConlluError("sentence has no root")
-    return DepTree(root=root, nodes=nodes, children=children)
+    return DepTree(root=_only_root(roots), nodes=nodes, children=children)
+
+
+def _only_root(roots: list[int]) -> int:
+    if len(roots) != 1:
+        raise ConlluError(f"expected exactly one root, found {len(roots)}")
+    return roots[0]
 
 
 def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
@@ -88,6 +95,8 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     Node ids are renamed by a seeded uniform permutation; the same seed
     always yields the same instance.  ``alignment[new_id]`` gives the
     0-based reference position of the token that became ``new_id``.
+    Like :func:`build_tree`, raises ConlluError unless exactly one token
+    has head 0, and leaves other tree faults to ``validate_sentence``.
     """
     n = len(sentence.tokens)
     perm = list(range(1, n + 1))
@@ -96,18 +105,17 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     # the token with id i is renamed to perm[i - 1]
     nodes = {}
     children: dict[int, list[int]] = {}
-    root = None
+    roots = []
     alignment = {}
     for i, t in enumerate(sentence.tokens):
         new_id = perm[t.id - 1]
         nodes[new_id] = NodeInfo(t.lemma, t.upos, t.feats, t.deprel)
         alignment[new_id] = i
         if t.head == 0:
-            root = new_id
+            roots.append(new_id)
         else:
             children.setdefault(perm[t.head - 1], []).append(new_id)
-    assert root is not None
-    tree = DepTree(root=root, nodes=nodes, children=children)
+    tree = DepTree(root=_only_root(roots), nodes=nodes, children=children)
     return ShallowSentence(
         tree=tree,
         reference_forms=tuple(t.form for t in sentence.tokens),

@@ -1,4 +1,5 @@
-"""The one process fan-out: ``parallel_map(fn, items, jobs)``.
+"""The one process fan-out: ``parallel_map(fn, items, jobs)``, behind
+``sr realize --jobs``, its one caller.
 
 It yields ``fn(item)`` for each item, in input order, for any ``jobs``,
 and as lazily as ``map``: callers that need a list call ``list()``.
@@ -10,12 +11,12 @@ window of ``READ_AHEAD_PER_JOB * jobs`` items and cut into chunks, at most
 with the input.  An input that ends inside the window is cut into chunks
 of ``ceil(n / (CHUNKS_PER_JOB * jobs))`` items; a longer one goes on in
 chunks of the size a full window gets.  Small chunks keep the workers
-evenly loaded when item costs differ.  ``fn`` (typically a
-``functools.partial`` holding a model and lexicon, or a vocabulary)
-reaches each worker once, through the pool initializer.  An exception
-in a worker is raised to the consumer; it, an exception in the
-consumer, or closing the iterator early cancels the chunks not yet
-started and shuts the pool down.
+evenly loaded when item costs differ.  ``fn`` (for realize, a
+``functools.partial`` holding a model and lexicon) reaches each worker
+once, through the pool initializer.  An exception in a worker is raised
+to the consumer; it, an exception in the consumer, or closing the
+iterator early cancels the chunks not yet started and shuts the pool
+down.
 
 The pool modules (``concurrent.futures.process`` and ``multiprocessing``)
 are imported only when workers start, so importing surfreal, a

@@ -8,21 +8,18 @@ survivors are shallow-transformed with per-sentence derived seeds.
 Statistics reconcile exactly: every input block is kept or rejected for
 exactly one reason.
 
-With more than one job, the unit of work of the process fan-out is a
-slice of the input text of about ``SLICE_CHARS`` characters that holds
-whole blocks (:func:`~surfreal.conllu_io.block_slices`); a worker
-parses, normalizes and filters its blocks, and only the kept sentences
-and the reasons for rejection come back.  The main process checks the
-whole text for carriage returns before any work and shallow-transforms
-the kept sentences in input order.
+Sifting runs block by block in the calling process, with no worker
+processes: on two CPUs, a process fan-out over slices of the input was
+slower than this up to a few thousand blocks and only broke even at
+about 18,000.  The ``jobs`` argument of :func:`build_synthetic_dataset`
+is accepted and has no effect; it stays until the benchmark stops
+passing it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 from typing import Iterable
 from unicodedata import is_normalized, normalize
 
@@ -30,20 +27,14 @@ from .conllu_io import (
     ConlluError,
     UdSentence,
     UdToken,
-    block_slices,
-    check_line_endings,
     iter_blocks,
     parse_block,
 )
 from .deptree import ShallowSentence, shallow_transform, unwritable_form
-from .parallel import parallel_map
 
 REASON_LENGTH = "length"
 REASON_OVERLAP = "overlap"
 REASON_MALFORMED = "malformed"
-
-# characters of parsed text in one unit of work of the process fan-out
-SLICE_CHARS = 20_000
 
 
 @dataclass(frozen=True)
@@ -136,11 +127,6 @@ def _sift_block(block: list[str], vocab: frozenset[str], policy: FilterPolicy) -
     return sentence if reason is None else reason
 
 
-def _sift_slice(piece: str, vocab: frozenset[str], policy: FilterPolicy) -> list[UdSentence | str]:
-    """Sift every block of a slice of text that holds whole blocks."""
-    return [_sift_block(block, vocab, policy) for block in iter_blocks(piece)]
-
-
 def build_synthetic_dataset(
     text: str,
     vocab: frozenset[str],
@@ -151,27 +137,16 @@ def build_synthetic_dataset(
     """Filter a parsed corpus and shallow-transform the survivors.
 
     Output order follows input order; kept sentence number i (0-based)
-    is transformed with seed rng_seed + i, so results do not depend on
-    the number of worker processes.  At ``jobs > 1`` the work goes out in
-    slices of about ``SLICE_CHARS`` characters, and an input of fewer than
-    two slices per job runs in this process; at ``jobs=1`` the blocks are
-    sifted one at a time.  Each kept sentence is transformed as soon as it
-    is sifted, so only the parsed sentences of the slices in flight are
-    held.
+    is transformed with seed rng_seed + i.  Blocks are sifted one at a
+    time in this process, and each kept sentence is transformed as soon
+    as it is sifted.  ``jobs`` has no effect (see the module docstring).
     """
-    if jobs > 1:
-        # a carriage return in any slice fails the whole input before any work
-        check_line_endings(text)
-        sift = partial(_sift_slice, vocab=vocab, policy=policy)
-        all_sifted = chain.from_iterable(parallel_map(sift, block_slices(text, SLICE_CHARS), jobs))
-    else:
-        # block by block: per-slice result lists cost 2-3% in a single process
-        all_sifted = map(partial(_sift_block, vocab=vocab, policy=policy), iter_blocks(text))
     dataset: list[ShallowSentence] = []
     reasons: Counter = Counter()
     input_count = 0
-    for sifted in all_sifted:
+    for block in iter_blocks(text):
         input_count += 1
+        sifted = _sift_block(block, vocab, policy)
         if isinstance(sifted, str):
             reasons[sifted] += 1
         else:

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from surfreal.cli import main
-from surfreal.conllu_io import block_slices, parse_conllu, serialize_conllu
-from surfreal.synthpipe import SLICE_CHARS
-from test_synthpipe import noisy_corpus_text, watch_workers
+from surfreal.conllu_io import parse_conllu, serialize_conllu
+from test_synthpipe import noisy_corpus_text
 from toylang import ToyLang
 
 
@@ -169,20 +168,29 @@ def test_eval_jobs_parity(pipeline, capsys):
     assert first == second
 
 
-def test_eval_starts_no_worker_process(pipeline, monkeypatch, capsys):
-    """eval scores in its own process, whatever --jobs and the CPU count say."""
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_eval_starts_no_worker_process(command, pipeline, tmp_path, monkeypatch, capsys):
+    """eval and synth work in their own process, whatever --jobs and the CPU count say."""
     root = pipeline["root"]
-    assert len(pipeline["gold"]) >= 6  # two pairs per job at --jobs 3
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
 
     def no_pool(*args, **kwargs):
-        pytest.fail("sr eval started a process pool")
+        pytest.fail(f"sr {command} started a process pool")
 
     # parallel_map imports the pool class from concurrent.futures when it starts workers
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert main(["eval", "--hyp", str(root / "hyp.txt"), "--ref", str(pipeline["gold_path"]),
-                 "--jobs", "3"]) == 0
-    assert "corpus BLEU-4:" in capsys.readouterr().out
+    if command == "eval":
+        assert len(pipeline["gold"]) >= 6  # two pairs per job at --jobs 3
+        assert main(["eval", "--hyp", str(root / "hyp.txt"), "--ref", str(pipeline["gold_path"]),
+                     "--jobs", "3"]) == 0
+        assert "corpus BLEU-4:" in capsys.readouterr().out
+    else:
+        # 444 blocks in about 237,000 characters: work enough for three jobs
+        parsed = tmp_path / "parsed.conllu"
+        parsed.write_text(noisy_corpus_text(seed=32, n=400), encoding="utf-8")
+        assert main(["synth", "--in", str(parsed), "--vocab-from", str(pipeline["gold_path"]),
+                     "--min-count", "1", "--out", str(tmp_path / "synth"), "--jobs", "3"]) == 0
+        assert "input_count=444" in capsys.readouterr().err
 
 
 def test_eval_detokenized_mode(pipeline, capsys):
@@ -452,7 +460,7 @@ def test_pool_modules_load_only_when_workers_start(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == {"before": [], "added": []}
 
 
-def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path, monkeypatch):
+def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path):
     """The walkthrough in fresh interpreters at --jobs 1 / PYTHONHASHSEED=0 and at
     --jobs 3 / PYTHONHASHSEED=1 writes the same bytes; manifests differ only in jobs."""
     gold = tmp_path / "gold.conllu"
@@ -460,16 +468,9 @@ def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path, monkeypatch):
                     encoding="utf-8")
     parsed = tmp_path / "parsed.conllu"
     parsed.write_text(noisy_corpus_text(seed=32, n=400), encoding="utf-8")
-    # at least two items per job (text slices for synth, sentences for realize), so
-    # both use worker processes on any machine with two CPUs or more
-    assert len(list(block_slices(parsed.read_text(encoding="utf-8"), SLICE_CHARS))) >= 6
+    # at least two sentences per job, so realize uses worker processes on any
+    # machine with two CPUs or more
     assert len(parse_conllu(gold.read_text(encoding="utf-8"))) >= 6
-    # and this synth input does reach worker processes at --jobs 3 (three CPUs assumed)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    workers = watch_workers(monkeypatch)
-    assert main(["synth", "--in", str(parsed), "--vocab-from", str(gold), "--min-count", "1",
-                 "--out", str(tmp_path / "in_process"), "--jobs", "3"]) == 0
-    assert workers
 
     runs = []
     for jobs, hashseed in (("1", "0"), ("3", "1")):

@@ -9,7 +9,6 @@ from surfreal.conllu_io import (
     ConlluError,
     UdSentence,
     UdToken,
-    block_slices,
     misc_get,
     iter_blocks,
     parse_conllu,
@@ -172,23 +171,3 @@ def test_sentence_pickle_and_deepcopy_keep_every_part(fixture_text):
     deep = copy.deepcopy(sentences[0])
     deep.comments.append("# changed")
     assert sentences[0].comments[-1] != "# changed"
-
-
-# line text for slicing: token-like rows, comments, whitespace-only and empty lines
-_SLICE_LINES = st.lists(st.text(st.sampled_from("a1\t #_"), max_size=8), max_size=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_SLICE_LINES, st.sampled_from(["", "\n", "\n\n"]), st.integers(1, 40))
-def test_slices_hold_whole_blocks(lines, ending, size):
-    text = "\n".join(lines) + ending
-    slices = list(block_slices(text, size))
-    assert "".join(slices) == text
-    assert [b for piece in slices for b in iter_blocks(piece)] == list(iter_blocks(text))
-    assert all(len(piece) > size and piece.endswith("\n\n") for piece in slices[:-1])
-    assert "" not in slices
-
-
-def test_slice_size_must_be_positive():
-    with pytest.raises(ValueError):
-        next(block_slices("1\ta\n\n", 0))

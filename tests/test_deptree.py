@@ -55,6 +55,17 @@ def edge_set(tree):
     return {(parent, kid) for parent in tree.nodes for kid in tree.kids(parent)}
 
 
+@pytest.mark.parametrize("heads, roots", [((2, 1), 0), ((0, 0), 2), ((0, 1, 0), 2)])
+@pytest.mark.parametrize("build", [build_tree, lambda s: shallow_transform(s, seed=3)],
+                         ids=["build_tree", "shallow_transform"])
+def test_a_sentence_without_exactly_one_root_is_rejected(heads, roots, build):
+    # a 2-token cycle has no root; two roots would each hold a subtree
+    s = UdSentence(tokens=[tok(i, f"w{i}", f"w{i}", "X", "_", h, "dep")
+                           for i, h in enumerate(heads, 1)])
+    with pytest.raises(ConlluError, match=f"exactly one root, found {roots}"):
+        build(s)
+
+
 def test_shallow_transform_is_isomorphic_under_inverse_permutation(toy):
     for i, sentence in enumerate(toy.corpus(40, kind="mixed")):
         shallow = shallow_transform(sentence, seed=100 + i)
