@@ -249,7 +249,7 @@ def cmd_eval(args) -> int:
 
 
 def _count(text: str) -> int:
-    """A --jobs or --beam value: a count of processes or hypotheses, so at least 1."""
+    """A count flag's value: at least 1, checked while parsing, before any input is read."""
     try:
         count = int(text)
     except ValueError:
@@ -257,6 +257,17 @@ def _count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
     return count
+
+
+def _weight(text: str) -> float:
+    """A --lambda value: an interpolation weight strictly between 0 and 1."""
+    try:
+        weight = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < weight < 1:
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, not {weight}")
+    return weight
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=5)
     p.add_argument("--max-len", type=int, default=50)
     p.add_argument("--overlap", type=float, default=0.8)
-    p.add_argument("--min-count", type=int, default=10)
+    p.add_argument("--min-count", type=_count, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=_count, default=1,
                    help="checked (at least 1) but has no effect: synth sifts every block "
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", type=Path, required=True, metavar="SHALLOW.conllu")
     p.add_argument("--refs", type=Path, required=True, metavar="REFS.txt")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--k", type=int, default=1, help="linearizations per sentence")
+    p.add_argument("--k", type=_count, default=1, help="linearizations per sentence")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--scoped", action="store_true", help="add scoping brackets")
     p.add_argument("--with-forms", action="store_true", help="append inflection form lists")
@@ -301,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-lm", help="train the n-gram scorer")
     p.add_argument("--refs", type=Path, required=True, metavar="REFS.txt")
     p.add_argument("--out", required=True, metavar="MODEL.ngrams")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.7)
+    p.add_argument("--order", type=_count, default=3)
+    p.add_argument("--lambda", dest="lam", type=_weight, default=0.7)
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("realize", help="realize sentences with beam search")

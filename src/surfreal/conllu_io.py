@@ -8,7 +8,9 @@ not part of the syntactic tree; they are kept verbatim, anchored to
 their position, so that serializing a parsed file reproduces it byte
 for byte.
 
-Only UTF-8 text with LF line endings is supported.
+Only UTF-8 text with LF line endings is supported.  The parser builds
+each row with ``tuple.__new__(UdToken, fields)``, a C-level call, and
+only after it has checked the field count and the id and head types.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 EMPTY = "_"
+_new_row = tuple.__new__
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _DECIMAL_ID = re.compile(r"^\d+\.\d+$")
@@ -100,9 +103,11 @@ def parse_pairs(column: str) -> list[tuple[str, str]]:
 
 
 def misc_get(misc: str, key: str) -> str | None:
-    for k, v in parse_pairs(misc):
-        if k == key:
-            return v
+    if misc and misc != EMPTY:
+        for part in misc.split("|"):
+            k, _, value = part.partition("=")
+            if k == key:
+                return value
     return None
 
 
@@ -117,7 +122,7 @@ def iter_blocks(text: str) -> Iterator[list[str]]:
         raise ConlluError("carriage return found: CoNLL-U input must use LF line endings")
     block: list[str] = []
     for line in text.split("\n"):
-        if line.strip() == "":
+        if not line or line.isspace():
             if block:
                 yield block
                 block = []
@@ -143,17 +148,18 @@ def parse_block(lines: list[str]) -> UdSentence:
         cols = line.split("\t")
         if len(cols) != 10:
             raise ConlluError(f"expected 10 columns, got {len(cols)}: {line!r}")
-        tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
+        tok_id = cols[0]
         # isdecimal() accepts exactly the Unicode digit strings \d+ matches
         if not tok_id.isdecimal():
             if _RANGE_ID.match(tok_id) or _DECIMAL_ID.match(tok_id):
                 ignored.append((len(tokens), line))
                 continue
             raise ConlluError(f"non-integer token id {tok_id!r}")
-        if not head.isdecimal():
-            raise ConlluError(f"non-integer head {head!r} for token {tok_id}")
-        tokens.append(UdToken(int(tok_id), form, lemma, upos, xpos, feats, int(head),
-                              deprel, deps, misc))
+        if not cols[6].isdecimal():
+            raise ConlluError(f"non-integer head {cols[6]!r} for token {tok_id}")
+        cols[0] = int(tok_id)
+        cols[6] = int(cols[6])
+        tokens.append(_new_row(UdToken, cols))
     sentence = UdSentence(tokens=tokens, comments=comments, ignored_lines=ignored)
     validate_sentence(sentence)
     return sentence
@@ -168,13 +174,13 @@ def validate_sentence(sentence: UdSentence) -> None:
         raise ConlluError("sentence has no token rows")
     children: list[list[int]] = [[] for _ in range(n + 1)]
     for i, t in enumerate(tokens, start=1):
-        if t.id != i:
-            raise ConlluError(f"token ids must be 1..{n} in order, found {t.id} at row {i}")
-        if t.head == i:
+        if t[0] != i:
+            raise ConlluError(f"token ids must be 1..{n} in order, found {t[0]} at row {i}")
+        if t[6] == i:
             raise ConlluError(f"token {i} has itself as head")
-        if not 0 <= t.head <= n:
-            raise ConlluError(f"token {i} has dangling head {t.head}")
-        children[t.head].append(i)
+        if not 0 <= t[6] <= n:
+            raise ConlluError(f"token {i} has dangling head {t[6]}")
+        children[t[6]].append(i)
     if len(children[0]) != 1:
         raise ConlluError(f"expected exactly one root, found {len(children[0])}")
     # every token has one head, so a walk down from the root meets each token

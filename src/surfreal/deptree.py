@@ -4,7 +4,9 @@ The shallow transform turns a fully ordered dependency parse into the
 inputs of the word-ordering-plus-inflection task: token ids are
 replaced by a uniformly random permutation (so linear order carries no
 signal), surface forms are dropped, and the original order is kept
-aside as the aligned reference.
+aside as the aligned reference.  The builders read rows by index and
+build rows with ``tuple.__new__``, a C-level call, only from fields whose
+count and types are already checked: parsed rows, or a tree's nodes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
@@ -19,6 +22,8 @@ from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
 ALIGN_KEY = "original_id"
 # a MISC column as shallow_to_conllu writes it when there is an alignment
 _ALIGNED_MISC = re.compile(rf"\t{ALIGN_KEY}=\d+$", re.MULTILINE)
+_new_row = tuple.__new__
+_node_fields = itemgetter(2, 3, 5, 7)  # a UdToken's lemma, upos, feats, deprel
 
 
 class NodeInfo(NamedTuple):
@@ -72,14 +77,16 @@ def build_tree(sentence: UdSentence) -> DepTree:
     """The tree of a sentence under its own ids.  Raises ConlluError unless
     exactly one token has head 0; other tree faults, such as a cycle under
     one root, are ``validate_sentence``'s job, which ``parse_block`` runs."""
-    nodes = {t.id: NodeInfo(t.lemma, t.upos, t.feats, t.deprel) for t in sentence.tokens}
+    nodes = {}
     children: dict[int, list[int]] = {}
     roots = []
     for t in sentence.tokens:
-        if t.head == 0:
-            roots.append(t.id)
+        node_id = t[0]
+        nodes[node_id] = _new_row(NodeInfo, _node_fields(t))
+        if t[6] == 0:
+            roots.append(node_id)
         else:
-            children.setdefault(t.head, []).append(t.id)
+            children.setdefault(t[6], []).append(node_id)
     return DepTree(root=_only_root(roots), nodes=nodes, children=children)
 
 
@@ -98,8 +105,8 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     Like :func:`build_tree`, raises ConlluError unless exactly one token
     has head 0, and leaves other tree faults to ``validate_sentence``.
     """
-    n = len(sentence.tokens)
-    perm = list(range(1, n + 1))
+    tokens = sentence.tokens
+    perm = list(range(1, len(tokens) + 1))
     random.Random(seed).shuffle(perm)
 
     # the token with id i is renamed to perm[i - 1]
@@ -107,18 +114,18 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     children: dict[int, list[int]] = {}
     roots = []
     alignment = {}
-    for i, t in enumerate(sentence.tokens):
-        new_id = perm[t.id - 1]
-        nodes[new_id] = NodeInfo(t.lemma, t.upos, t.feats, t.deprel)
+    for i, t in enumerate(tokens):
+        new_id = perm[t[0] - 1]
+        nodes[new_id] = _new_row(NodeInfo, _node_fields(t))
         alignment[new_id] = i
-        if t.head == 0:
+        if t[6] == 0:
             roots.append(new_id)
         else:
-            children.setdefault(perm[t.head - 1], []).append(new_id)
+            children.setdefault(perm[t[6] - 1], []).append(new_id)
     tree = DepTree(root=_only_root(roots), nodes=nodes, children=children)
     return ShallowSentence(
         tree=tree,
-        reference_forms=tuple(t.form for t in sentence.tokens),
+        reference_forms=tuple(t[1] for t in tokens),
         alignment=alignment,
     )
 
@@ -148,10 +155,10 @@ def shallow_to_conllu(shallow: ShallowSentence) -> UdSentence:
     parent = {kid: head for head, kids in tree.children.items() for kid in kids}
     tokens = []
     for node_id in tree.node_ids():
-        info = tree.nodes[node_id]
+        lemma, upos, feats, deprel = tree.nodes[node_id]
         misc = EMPTY if alignment is None else f"{ALIGN_KEY}={alignment[node_id] + 1}"
-        tokens.append(UdToken(node_id, EMPTY, info.lemma, info.upos, EMPTY, info.feats,
-                              parent.get(node_id, 0), info.deprel, EMPTY, misc))
+        tokens.append(_new_row(UdToken, (node_id, EMPTY, lemma, upos, EMPTY, feats,
+                                         parent.get(node_id, 0), deprel, EMPTY, misc)))
     return UdSentence(tokens=tokens)
 
 
@@ -173,14 +180,14 @@ def shallow_from_conllu(
     tree = build_tree(sentence)
     alignment = {}
     for t in sentence.tokens:
-        value = misc_get(t.misc, ALIGN_KEY)
+        value = misc_get(t[9], ALIGN_KEY)
         if value is None:
             alignment = None
             break
         try:
-            alignment[t.id] = int(value) - 1
+            alignment[t[0]] = int(value) - 1
         except ValueError:
-            raise ConlluError(f"non-integer {ALIGN_KEY} {value!r} for token {t.id}") from None
+            raise ConlluError(f"non-integer {ALIGN_KEY} {value!r} for token {t[0]}") from None
     if alignment is not None:
         positions = sorted(alignment.values())
         if positions != list(range(len(sentence.tokens))):

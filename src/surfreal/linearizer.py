@@ -59,7 +59,8 @@ def linearize(s: ShallowSentence, rng_seed: int, scoped: bool = False) -> Linear
     with ``scoped`` on, a node with children wraps all of its child
     subtrees in a single bracket pair.
     """
-    rng = random.Random(rng_seed)
+    shuffle = random.Random(rng_seed).shuffle
+    escape = _ESCAPES.get
     nodes = s.tree.nodes
     children = s.tree.children
     tokens: list[str] = []
@@ -72,13 +73,14 @@ def linearize(s: ShallowSentence, rng_seed: int, scoped: bool = False) -> Linear
             tokens.append(CLOSE)
             continue
         node_of[len(tokens)] = node_id
-        tokens.append(escape_token(nodes[node_id].lemma))
+        lemma = nodes[node_id][0]
+        tokens.append(escape(lemma, lemma))
         kids = children.get(node_id)
         if not kids:
             continue
         if len(kids) > 1:  # shuffle draws nothing for one item
             kids = kids.copy()
-            rng.shuffle(kids)
+            shuffle(kids)
         if scoped:
             tokens.append(OPEN)
             stack.append(CLOSE)
@@ -101,14 +103,14 @@ def append_form_list(
     """
     if segments is None:
         segments = {}
+    nodes = tree.nodes
     tokens = None
     for node_id in seq.node_order():
-        info = tree.nodes[node_id]
-        key = (info.lemma, info.upos)
+        key = nodes[node_id][:2]  # (lemma, upos)
         segment = segments.get(key)
         if segment is None:
             segment = segments[key] = _form_list_segment(
-                info.lemma, lexicon.relevant_forms(*key))
+                key[0], lexicon.relevant_forms(*key))
         if not segment:
             continue
         if tokens is None:

@@ -104,24 +104,27 @@ class NGramModel:
                 lam = float(header[2].removeprefix("lambda="))
                 vocab_size = int(header[3].removeprefix("vocab="))
                 counts: dict[int, dict[tuple, Counter]] = {}
+                # save writes each (order, context)'s lines together: parse those once
+                last_k_str = last_ctx_str = None
                 for line in fh:
                     k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
-                    k = int(k_str)
-                    ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
-                    count = int(count_str)
-                    # save writes only observed n-grams of orders 1..order
-                    if not 1 <= k <= order:
-                        raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
-                    if len(ctx) != k - 1:
-                        raise ValueError(f"context {ctx_str!r} for {token!r} holds "
-                                         f"{len(ctx)} tokens, not {k - 1}")
+                    if k_str != last_k_str or ctx_str != last_ctx_str:
+                        k = int(k_str)
+                        ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
+                        count = int(count_str)
+                        # save writes only observed n-grams of orders 1..order
+                        if not 1 <= k <= order:
+                            raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
+                        if len(ctx) != k - 1:
+                            raise ValueError(f"context {ctx_str!r} for {token!r} holds "
+                                             f"{len(ctx)} tokens, not {k - 1}")
+                        ctx_counts = counts.setdefault(k, {}).setdefault(ctx, Counter())
+                        last_k_str, last_ctx_str = k_str, ctx_str
+                    else:
+                        count = int(count_str)
                     if count < 1:
                         raise ValueError(f"count {count} for {token!r} is below 1")
-                    by_ctx = counts.setdefault(k, {})
-                    ctx_counts = by_ctx.get(ctx)
-                    if ctx_counts is None:
-                        ctx_counts = by_ctx[ctx] = Counter()
-                    elif token in ctx_counts:
+                    if token in ctx_counts:
                         raise ValueError(f"repeated order-{k} count for {token!r} "
                                          f"after {ctx_str!r}")
                     ctx_counts[token] = count

@@ -5,19 +5,34 @@
 ``reference_shallow_from_conllu`` are the code as it was before the
 builders counted flat n-gram tables, counted lexicon rows once, walked
 trees with an explicit stack, memoized form-list segments and built tree
-nodes positionally.  On generated inputs each
+nodes positionally.  The ``before_*`` functions are the code as it was
+before rows were read by index and built with ``tuple.__new__``,
+``misc_get`` stopped building a pair list, ``iter_blocks`` tested blank
+lines with ``str.isspace`` and ``NGramModel.load`` reused the parse of the
+previous line's order and context.  On generated inputs each
 rewritten function must return an equal result, or raise the same error
 with the same message.
 """
 
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfreal.conllu_io import ConlluError, DataError, UdSentence, UdToken, misc_get
+from surfreal.conllu_io import (
+    EMPTY,
+    ConlluError,
+    DataError,
+    UdSentence,
+    UdToken,
+    iter_blocks,
+    misc_get,
+    parse_pairs,
+)
 from surfreal.deptree import (
     ALIGN_KEY,
     DepTree,
@@ -25,6 +40,9 @@ from surfreal.deptree import (
     ShallowSentence,
     build_tree,
     shallow_from_conllu,
+    shallow_to_conllu,
+    shallow_transform,
+    strip_alignment,
 )
 from surfreal.linearizer import (
     CLOSE,
@@ -37,7 +55,7 @@ from surfreal.linearizer import (
     escape_token,
     linearize,
 )
-from surfreal.ngram import BOS, UNK, train_ngram
+from surfreal.ngram import _HEADER_TAG, BOS, UNK, NGramModel, train_ngram
 from surfreal.realizer import FormLexicon, _rank_forms, build_form_lexicon, feats_key
 from treegen import heads, sentences
 
@@ -166,6 +184,151 @@ def reference_shallow_from_conllu(sentence, reference_forms=None):
         if positions != list(range(len(sentence.tokens))):
             raise ConlluError("original_id values are not a permutation of 1..n")
     return ShallowSentence(tree=tree, reference_forms=reference_forms, alignment=alignment)
+
+
+def before_build_tree(sentence):
+    nodes = {t.id: NodeInfo(t.lemma, t.upos, t.feats, t.deprel) for t in sentence.tokens}
+    children: dict[int, list[int]] = {}
+    roots = []
+    for t in sentence.tokens:
+        if t.head == 0:
+            roots.append(t.id)
+        else:
+            children.setdefault(t.head, []).append(t.id)
+    return DepTree(root=before_only_root(roots), nodes=nodes, children=children)
+
+
+def before_only_root(roots):
+    if len(roots) != 1:
+        raise ConlluError(f"expected exactly one root, found {len(roots)}")
+    return roots[0]
+
+
+def before_shallow_transform(sentence, seed):
+    n = len(sentence.tokens)
+    perm = list(range(1, n + 1))
+    random.Random(seed).shuffle(perm)
+
+    # the token with id i is renamed to perm[i - 1]
+    nodes = {}
+    children: dict[int, list[int]] = {}
+    roots = []
+    alignment = {}
+    for i, t in enumerate(sentence.tokens):
+        new_id = perm[t.id - 1]
+        nodes[new_id] = NodeInfo(t.lemma, t.upos, t.feats, t.deprel)
+        alignment[new_id] = i
+        if t.head == 0:
+            roots.append(new_id)
+        else:
+            children.setdefault(perm[t.head - 1], []).append(new_id)
+    tree = DepTree(root=before_only_root(roots), nodes=nodes, children=children)
+    return ShallowSentence(
+        tree=tree,
+        reference_forms=tuple(t.form for t in sentence.tokens),
+        alignment=alignment,
+    )
+
+
+def before_shallow_to_conllu(shallow):
+    tree = shallow.tree
+    alignment = shallow.alignment
+    parent = {kid: head for head, kids in tree.children.items() for kid in kids}
+    tokens = []
+    for node_id in tree.node_ids():
+        info = tree.nodes[node_id]
+        misc = EMPTY if alignment is None else f"{ALIGN_KEY}={alignment[node_id] + 1}"
+        tokens.append(UdToken(node_id, EMPTY, info.lemma, info.upos, EMPTY, info.feats,
+                              parent.get(node_id, 0), info.deprel, EMPTY, misc))
+    return UdSentence(tokens=tokens)
+
+
+def before_shallow_from_conllu(sentence, reference_forms=None):
+    tree = before_build_tree(sentence)
+    alignment = {}
+    for t in sentence.tokens:
+        value = before_misc_get(t.misc, ALIGN_KEY)
+        if value is None:
+            alignment = None
+            break
+        try:
+            alignment[t.id] = int(value) - 1
+        except ValueError:
+            raise ConlluError(f"non-integer {ALIGN_KEY} {value!r} for token {t.id}") from None
+    if alignment is not None:
+        positions = sorted(alignment.values())
+        if positions != list(range(len(sentence.tokens))):
+            raise ConlluError("original_id values are not a permutation of 1..n")
+    return ShallowSentence(tree=tree, reference_forms=reference_forms, alignment=alignment)
+
+
+def before_misc_get(misc, key):
+    for k, v in parse_pairs(misc):
+        if k == key:
+            return v
+    return None
+
+
+def before_iter_blocks(text):
+    if "\r" in text:
+        raise ConlluError("carriage return found: CoNLL-U input must use LF line endings")
+    block: list[str] = []
+    for line in text.split("\n"):
+        if line.strip() == "":
+            if block:
+                yield block
+                block = []
+        else:
+            block.append(line)
+    if block:
+        yield block
+
+
+def before_load(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
+            if len(header) != 4 or header[0] != _HEADER_TAG:
+                raise ValueError(f"no {_HEADER_TAG} header")
+            order = int(header[1].removeprefix("order="))
+            lam = float(header[2].removeprefix("lambda="))
+            vocab_size = int(header[3].removeprefix("vocab="))
+            counts: dict[int, dict[tuple, Counter]] = {}
+            for line in fh:
+                k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
+                k = int(k_str)
+                ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
+                count = int(count_str)
+                # save writes only observed n-grams of orders 1..order
+                if not 1 <= k <= order:
+                    raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
+                if len(ctx) != k - 1:
+                    raise ValueError(f"context {ctx_str!r} for {token!r} holds "
+                                     f"{len(ctx)} tokens, not {k - 1}")
+                if count < 1:
+                    raise ValueError(f"count {count} for {token!r} is below 1")
+                by_ctx = counts.setdefault(k, {})
+                ctx_counts = by_ctx.get(ctx)
+                if ctx_counts is None:
+                    ctx_counts = by_ctx[ctx] = Counter()
+                elif token in ctx_counts:
+                    raise ValueError(f"repeated order-{k} count for {token!r} "
+                                     f"after {ctx_str!r}")
+                ctx_counts[token] = count
+        vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
+        if len(vocab) != vocab_size:
+            raise ValueError(f"vocab size mismatch: header {vocab_size}, "
+                             f"counted {len(vocab)}")
+        # save writes n-grams of vocabulary tokens only, after begin markers
+        context_tokens = vocab | {BOS}
+        for k, by_ctx in counts.items():
+            for ctx, ctx_counts in by_ctx.items():
+                if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
+                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
+                                     "token outside the unigram vocabulary")
+        return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)
+    except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
+        raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
 
 def outcome(call):
@@ -306,3 +469,138 @@ def test_shallow_from_conllu_matches_reference(data, n):
 def test_shallow_from_conllu_matches_reference_on_any_fields(sentence):
     assert (outcome(lambda: shallow_from_conllu(sentence))
             == outcome(lambda: reference_shallow_from_conllu(sentence)))
+
+
+# --- rows read by index ----------------------------------------------------------------
+
+
+@st.composite
+def loose_sentences(draw, max_tokens: int = 6) -> UdSentence:
+    """Ids 1..n with heads anywhere in 0..n: no root, several roots, self-loops
+    and cycles come up, as they do in trees no parser has checked."""
+    n = draw(st.integers(1, max_tokens))
+    return UdSentence(tokens=[UdToken(i, f"f{i}", draw(LEMMAS), draw(UPOS), "_", "_",
+                                      draw(st.integers(0, n)), "dep", "_", "_")
+                              for i in range(1, n + 1)])
+
+
+ANY_SENTENCES = st.one_of(sentences(), loose_sentences())
+
+
+def row_types(tree):
+    return {type(info) for info in tree.nodes.values()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_SENTENCES)
+def test_build_tree_matches_before(sentence):
+    expected = outcome(lambda: before_build_tree(sentence))
+    assert outcome(lambda: build_tree(sentence)) == expected
+    if isinstance(expected, DepTree):
+        assert row_types(build_tree(sentence)) == {NodeInfo}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_SENTENCES, st.integers(0, 2**32))
+def test_shallow_transform_matches_before(sentence, seed):
+    expected = outcome(lambda: before_shallow_transform(sentence, seed))
+    assert outcome(lambda: shallow_transform(sentence, seed)) == expected
+    if isinstance(expected, ShallowSentence):
+        assert row_types(shallow_transform(sentence, seed).tree) == {NodeInfo}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences(), st.integers(0, 2**32), st.booleans())
+def test_shallow_codec_matches_before(sentence, seed, aligned):
+    shallow = shallow_transform(sentence, seed)
+    if not aligned:
+        shallow = strip_alignment(shallow)
+    encoded = shallow_to_conllu(shallow)
+    assert encoded == before_shallow_to_conllu(shallow)
+    assert {type(t) for t in encoded.tokens} == {UdToken}
+    assert (outcome(lambda: shallow_from_conllu(encoded, shallow.reference_forms))
+            == outcome(lambda: before_shallow_from_conllu(encoded, shallow.reference_forms)))
+    # the decoder also on rows it did not encode, with any fields
+    for rows in (sentence, encoded):
+        assert (outcome(lambda: shallow_from_conllu(rows))
+                == outcome(lambda: before_shallow_from_conllu(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_sentences(), st.lists(st.sampled_from(MISC_FORMS), min_size=6, max_size=6))
+def test_shallow_from_conllu_matches_before_on_loose_trees(sentence, miscs):
+    tokens = [t._replace(misc=misc.format(t.id)) for t, misc in zip(sentence.tokens, miscs)]
+    rows = UdSentence(tokens=tokens)
+    assert (outcome(lambda: shallow_from_conllu(rows))
+            == outcome(lambda: before_shallow_from_conllu(rows)))
+
+
+MISC_PARTS = st.sampled_from(["_", "", "original_id=1", "original_id=", "original_id",
+                              "original_id=2=3", "X=1", "X", "=", "=1", "_=1"])
+MISC_KEYS = st.sampled_from(["original_id", "X", "_", "", "=", "original_id=1"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(MISC_PARTS | st.text(max_size=3), max_size=4), MISC_KEYS | st.text(max_size=2))
+def test_misc_get_matches_before(parts, key):
+    misc = "|".join(parts)
+    assert misc_get(misc, key) == before_misc_get(misc, key)
+
+
+BLANKISH = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+            "\u2028", "\u3000", " \u3000\x0b", "\u200b", "a", " a ", "1\tx", "#", "\r"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(BLANKISH) | st.text(max_size=3), max_size=8))
+def test_iter_blocks_matches_before(lines):
+    text = "\n".join(lines)
+    assert (outcome(lambda: list(iter_blocks(text)))
+            == outcome(lambda: list(before_iter_blocks(text))))
+
+
+LM_CORPORA = st.lists(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5),
+                      min_size=1, max_size=4)
+CORRUPT_FIELDS = ["0", "1", "2", "3", "4", "-1", "x", "", "a", "a b", "<s>", "<s> a", "zz"]
+
+
+@st.composite
+def count_files(draw) -> str:
+    """A saved model's text with lines dropped, repeated, moved or corrupted."""
+    model = train_ngram(draw(LM_CORPORA), order=draw(st.integers(1, 3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ngrams"
+        model.save(path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "repeat", "move", "field", "tabs"]))
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif edit == "field":
+            fields = lines[i].split("\t")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(CORRUPT_FIELDS))
+            lines[i] = "\t".join(fields)
+        else:
+            lines[i] = draw(st.sampled_from(["", "1\ta", lines[i] + "\t1"]))
+    return "\n".join([header, *lines]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_files())
+def test_ngram_load_matches_before(text):
+    def loaded(load):
+        model = load(path)
+        return model.order, model.lam, model.counts, model.vocab
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ngrams"
+        path.write_text(text, encoding="utf-8")
+        expected = outcome(lambda: loaded(before_load))
+        assert outcome(lambda: loaded(NGramModel.load)) == expected

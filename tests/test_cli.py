@@ -257,6 +257,20 @@ def test_usage_errors(tmp_path):
                  str(gold), "--out", str(tmp_path / "h0.txt"), "--beam", "0"]) == 1
     assert not (tmp_path / "h0.txt").exists()
     assert not (tmp_path / "h0.txt.manifest.json").exists()
+    # so are the other counts and --lambda: with every input missing (a data error,
+    # exit 2, once reading starts) a bad value still exits 1 and writes nothing
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["pairs", "--in", missing, "--refs", missing, "--out", str(tmp_path / "x1"), "--k", "0"],
+        ["train-lm", "--refs", missing, "--out", str(tmp_path / "x2"), "--order", "0"],
+        ["train-lm", "--refs", missing, "--out", str(tmp_path / "x3"), "--lambda", "1.5"],
+        ["train-lm", "--refs", missing, "--out", str(tmp_path / "x4"), "--lambda", "0"],
+        ["synth", "--in", missing, "--vocab-from", missing, "--out", str(tmp_path / "x5"),
+         "--min-count", "0"],
+    ):
+        assert main(argv) == 1, argv
+    assert not list(tmp_path.glob("x*"))
+    assert main(["train-lm", "--refs", missing, "--out", str(tmp_path / "x6")]) == 2
 
 
 def test_data_errors(tmp_path, capsys):
