@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import chain
+from heapq import heapify, heappop, heapreplace
 from operator import attrgetter
 
 from .conllu_io import DataError, UdSentence, parse_pairs
@@ -167,6 +167,34 @@ class RealizationResult:
     beam_size: int
 
 
+def _ranked_candidates(ranked: list, base: float, parent_index: int, remaining: frozenset):
+    """A parent's candidates, best first, as (-score, parent index, node id,
+    lexicon rank, form) with score = base + delta.
+
+    ``ranked`` holds (-delta, moves) groups in ascending order, each group's
+    (node id, lexicon rank, form) moves in ascending order; moves of nodes
+    outside ``remaining`` are skipped.  Rounding is monotone, so adding the
+    base keeps the groups in order, except that neighbouring deltas can sum
+    to equal scores: such groups are read together and their moves put
+    back in generation order (node id, then rank).
+    """
+    i, end = 0, len(ranked)
+    while i < end:
+        neg_delta, moves = ranked[i]
+        score = base - neg_delta  # base - (-delta) is exactly base + delta
+        i += 1
+        if i < end and base - ranked[i][0] == score:
+            tied = list(moves)
+            while i < end and base - ranked[i][0] == score:
+                tied += ranked[i][1]
+                i += 1
+            moves = sorted(tied)
+        neg_score = -score
+        for node_id, rank, form in moves:
+            if node_id in remaining:
+                yield (neg_score, parent_index, node_id, rank, form)
+
+
 def beam_realize(
     sentence: ShallowSentence,
     scorer: Scorer,
@@ -175,28 +203,38 @@ def beam_realize(
 ) -> RealizationResult:
     """Beam search of exactly n steps over the restricted continuations.
 
-    Each step scores every candidate, in the canonical order (beam rank,
-    then the canonical continuation order), and keeps only a flat score
-    per candidate; a hypothesis, the plain tuple (score, forms, unused node
-    ids in ascending order, node order), is built only for the candidates
-    that survive the step.  The canonical continuation order is ascending
-    node id, then the node's lexicon candidates in their order (descending
-    count, then form string).  ``scorer.score_next`` is called once per
-    candidate, in that order, when ``scorer.state_key`` returns None for
-    the parent's history; otherwise it is called once per distinct
+    The canonical continuation order is ascending node id, then the
+    node's lexicon candidates in their order (descending count, then form
+    string); the generation order of a step's candidates is beam rank,
+    then that order.  ``scorer.score_next`` is called once per candidate,
+    in generation order, when ``scorer.state_key`` returns None for the
+    parent's history; otherwise it is called once per distinct
     (state key, form) per sentence, for the first candidate in that
     order that needs it, and the delta is reused for every later
     candidate with the same key and form.  A candidate's score is its
-    parent's score plus the delta on either path.
-    Candidates are ranked by score with ties broken by that generation
-    order, so decoding is fully deterministic.  Retention is
-    slot-nested rather than plain top-k: each survivor takes the lowest
-    free beam slot at or above its parent's slot, and a candidate with
-    no free slot left is pruned.  The slots 1..s then hold exactly what
-    a width-s search would keep (slot 1 is the greedy chain), so the
-    best final score never decreases as the beam widens.  With a beam at
-    least as large as the number of reachable hypotheses nothing is
-    ever pruned and the search is exhaustive.
+    parent's score plus the delta on either path.  Every step still
+    fills the rows of every (key, form) its parents need, before it
+    ranks anything.
+    Candidates are ranked by score with ties broken by generation order,
+    so decoding is fully deterministic.  Retention is slot-nested rather
+    than plain top-k: each survivor takes the lowest free beam slot at or
+    above its parent's slot, and a candidate with no free slot left is
+    pruned.  The slots 1..s then hold exactly what a width-s search would
+    keep (slot 1 is the greedy chain), so the best final score never
+    decreases as the beam widens.  With a beam at least as large as the
+    number of reachable hypotheses nothing is ever pruned and the search
+    is exhaustive.
+    Candidates are never all built.  Per state key the beam keeps the
+    row's forms ranked by delta, each with the moves that place it (a
+    parent whose key is None gets a ranking of its own candidates); each
+    parent reads its candidates lazily from that ranking, best first,
+    skipping its placed nodes, and a heap merges the parents in the
+    ranking above.  A parent whose free slot has overflowed leaves the
+    merge, since its later candidates would overflow too, and the step
+    ends once every slot is taken, so a step's cost follows the
+    candidates the merge reaches rather than all it could rank.  A
+    hypothesis, the plain tuple (score, forms, unused node ids as a
+    frozenset, node order), is built only for a survivor.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -204,42 +242,58 @@ def beam_realize(
     n = tree.size()
     if n < 1:
         raise ValueError("sentence has no nodes")
-    # per node, its (node id, form) moves in candidate order; a parent's
-    # candidates are the moves of its unused nodes, in ascending node id
-    moves_of = {node_id: tuple((node_id, form) for form, _count
-                               in lexicon.candidates_for(tree.nodes[node_id]))
-                for node_id in tree.node_ids()}
-    handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in tree.node_ids()}
-    rows: dict[Hashable, dict[str, float]] = {}  # state key -> form -> delta, this sentence
+    node_ids = tree.node_ids()
+    moves_of = {}  # per node, its (node id, lexicon rank, form) moves in candidate order
+    moves_by_form = defaultdict(list)  # per form, its moves in generation order
+    for node_id in node_ids:
+        moves_of[node_id] = moves = tuple(
+            (node_id, rank, form)
+            for rank, (form, _count) in enumerate(lexicon.candidates_for(tree.nodes[node_id])))
+        for move in moves:
+            moves_by_form[move[2]].append(move)
+    handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in node_ids}
+    # state key -> (form -> delta, the nodes whose forms are all in that row,
+    # (-delta, the form's moves) per form in the row, sorted), this sentence
+    tables: dict[Hashable, tuple[dict[str, float], set[int], list]] = {}
 
-    beam = [(0.0, (), tuple(tree.node_ids()), ())]  # (score, forms, remaining, node order)
+    beam = [(0.0, (), frozenset(node_ids), ())]  # (score, forms, remaining, node order)
     slots = [1]
     for _step in range(n):
-        scores: list[float] = []
-        moves: list[tuple[int, str]] = []  # (node id, form) per candidate
-        parent_of: list[int] = []          # beam index of each candidate's parent
+        streams = []  # per parent, its candidates not yet in the merge
         for parent_index, (base, forms, remaining, _node_order) in enumerate(beam):
             history = list(forms)
-            block = list(chain.from_iterable(map(moves_of.__getitem__, remaining)))
-            moves += block
-            parent_of += [parent_index] * len(block)
             key = scorer.state_key(history)
-            if key is None:
-                scores += [base + scorer.score_next(history, form, handles[node_id])
-                           for node_id, form in block]
-                continue
-            row = rows.setdefault(key, {})
-            for node_id, form in block:
-                delta = row.get(form)
-                if delta is None:
-                    delta = row[form] = scorer.score_next(history, form, handles[node_id])
-                scores.append(base + delta)
-        # stable: equal scores keep generation order
-        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+            if key is None:  # a group per candidate
+                ranked = sorted([(-scorer.score_next(history, move[2], handles[unused]), (move,))
+                                 for unused in sorted(remaining) for move in moves_of[unused]])
+            else:
+                table = tables.get(key)
+                if table is None:
+                    table = tables[key] = ({}, set(), [])
+                row, covered, ranked = table
+                if not covered.issuperset(remaining):
+                    for unused in sorted(remaining - covered):
+                        for _node_id, _rank, form in moves_of[unused]:
+                            if form not in row:
+                                delta = row[form] = scorer.score_next(history, form,
+                                                                      handles[unused])
+                                ranked.append((-delta, moves_by_form[form]))
+                    covered.update(remaining)
+                    ranked.sort()
+            streams.append(_ranked_candidates(ranked, base, parent_index, remaining))
+        # streams start only now, so each reads its key's table as this step left it
+        heads = [head for stream in streams if (head := next(stream, None)) is not None]
+        heapify(heads)
 
         # a survivor's slot is at most its parent's plus the survivors before it,
-        # so no slot above top is ever taken and the table need not reach beam_size
-        top = min(beam_size, max(slots) + len(scores))
+        # so no slot above max(slots) + candidates is ever taken and the table need
+        # not reach beam_size; each parent has a candidate, so they are counted only
+        # for a beam wider than max(slots) + parents
+        top = beam_size
+        if max(slots) + len(beam) < beam_size:
+            top = min(beam_size, max(slots) + sum(
+                len(moves_of[node_id]) for _base, _forms, remaining, _order in beam
+                for node_id in remaining))
         # union-find over slots: next_free[s] chases the lowest free slot >= s;
         # top + 1 is the overflow sentinel meaning "prune"
         next_free = list(range(top + 2))
@@ -254,20 +308,25 @@ def beam_realize(
 
         parents, parent_slots = beam, slots
         beam, slots = [], []
-        for i in order:
-            parent_index = parent_of[i]
+        while heads:
+            neg_score, parent_index, node_id, _rank, form = heads[0]
             slot = _free_slot(parent_slots[parent_index])
             if slot > top:
+                # slots only fill, so none will free up for this parent's later candidates
+                heappop(heads)
                 continue
             next_free[slot] = slot + 1
             _base, forms, remaining, node_order = parents[parent_index]
-            node_id, form = moves[i]
-            k = remaining.index(node_id)
-            beam.append((scores[i], forms + (form,), remaining[:k] + remaining[k + 1:],
+            beam.append((-neg_score, forms + (form,), remaining - {node_id},
                          node_order + (node_id,)))
             slots.append(slot)
             if len(beam) == beam_size:
                 break  # every slot is taken: the rest would overflow
+            following = next(streams[parent_index], None)
+            if following is None:
+                heappop(heads)
+            else:
+                heapreplace(heads, following)
 
     # the kept list is in score order (generation order on ties), so the
     # first element is the returned argmax

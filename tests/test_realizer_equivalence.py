@@ -5,10 +5,13 @@ here; the beam itself keeps plain tuples) for every candidate, scores
 every candidate and sorts them all; ``beam_realize`` must return
 the same tokens, node order and score (bit for bit) on random trees,
 lexicons and scorers.  With a scorer that has no state key it must call
-the scorer with the same arguments in the same order; with the n-gram
-scorer's state key it must make the reference's calls less every repeat
-of a (state key, form).  Coarse integer scorers make many candidates
-tie, so the tie-break by generation order is exercised.
+the scorer with the same arguments in the same order; with a state key
+(the n-gram scorer's, or the last form's) it must make the reference's
+calls less every repeat of a (state key, form).  Coarse integer scorers
+make many candidates tie, and a keyed scorer whose deltas differ by less
+than half an ulp of the running score makes summed scores tie while the
+deltas differ, so the tie-break by generation order is exercised on
+both paths.
 """
 
 import math
@@ -128,8 +131,30 @@ class TableScorer(Scorer):
         return float(rng.randint(-2, 0)) if self.coarse else math.log(rng.random() + 1e-3)
 
 
+class LastFormScorer(Scorer):
+    """A keyed scorer drawn from a seed: the state is the last form.
+
+    ``coarse`` gives integer deltas in -2..0, so many candidates tie.
+    Otherwise the first step scores -1000 and each later one -0.5 or
+    -0.5 - 2**-45: the two differ by less than half an ulp of a running
+    score near -1000, so their sums tie while their deltas differ."""
+
+    def __init__(self, seed: int, coarse: bool):
+        self.seed = seed
+        self.coarse = coarse
+
+    def state_key(self, history) -> str:
+        return history[-1] if history else BOS
+
+    def score_next(self, history, candidate_form, candidate_node) -> float:
+        rng = random.Random(f"{self.seed}|{self.state_key(history)}|{candidate_form}")
+        if self.coarse:
+            return float(rng.randint(-2, 0))
+        return rng.choice([-0.5, -0.5 - 2**-45]) if history else -1000.0
+
+
 class RecordingScorer(Scorer):
-    """Passes calls through and records their arguments."""
+    """Passes calls through and records their arguments; no state key."""
 
     def __init__(self, inner: Scorer):
         self.inner = inner
@@ -140,10 +165,29 @@ class RecordingScorer(Scorer):
         return self.inner.score_next(history, candidate_form, candidate_node)
 
 
+class RecordingKeyedScorer(RecordingScorer):
+    """A RecordingScorer that keeps the inner scorer's state key."""
+
+    def state_key(self, history):
+        return self.inner.state_key(history)
+
+
+def first_calls(calls, state_key):
+    """The calls less every repeat of a (state key, form), in order."""
+    kept, seen = [], set()
+    for history, form, node_id in calls:
+        state = (state_key(history), form)
+        if state not in seen:
+            seen.add(state)
+            kept.append((history, form, node_id))
+    return kept
+
+
 @st.composite
-def instances(draw, max_nodes=5):
-    """A random tree of 1-max_nodes nodes with 1-3 candidate forms per node."""
-    n = draw(st.integers(1, max_nodes))
+def instances(draw, min_nodes=1, max_nodes=5, forms=FORMS):
+    """A random tree of min_nodes-max_nodes nodes with 1-3 candidate forms
+    per node, drawn from ``forms``."""
+    n = draw(st.integers(min_nodes, max_nodes))
     ids = draw(st.permutations(range(1, n + 1)))
     heads = {ids[0]: 0}
     for k in range(1, n):
@@ -152,8 +196,8 @@ def instances(draw, max_nodes=5):
     sentence = ShallowSentence(tree=build_tree(UdSentence(tokens=tokens)))
     by_lemma = {}
     for i in range(1, n + 1):
-        forms = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=3, unique=True))
-        by_lemma[f"l{i}"] = tuple((form, 1) for form in forms)
+        node_forms = draw(st.lists(st.sampled_from(forms), min_size=1, max_size=3, unique=True))
+        by_lemma[f"l{i}"] = tuple((form, 1) for form in node_forms)
     lexicon = FormLexicon(full={}, by_lemma_upos={}, by_lemma=by_lemma)
     return sentence, lexicon
 
@@ -170,6 +214,15 @@ def scorers(draw):
     kind = draw(st.sampled_from(["coarse", "fine", "ngram"]))
     if kind != "ngram":
         return TableScorer(draw(st.integers(0, 2**16)), coarse=kind == "coarse")
+    return NGramScorer(draw(ngram_models()))
+
+
+@st.composite
+def keyed_scorers(draw):
+    """A scorer with a state key: an n-gram model's context, or the last form."""
+    kind = draw(st.sampled_from(["coarse", "fine", "ngram"]))
+    if kind != "ngram":
+        return LastFormScorer(draw(st.integers(0, 2**16)), coarse=kind == "coarse")
     return NGramScorer(draw(ngram_models()))
 
 
@@ -252,43 +305,51 @@ def test_context_key_and_logprob(order, history, token, as_tuple):
     assert model.logprob(token, list(history)) == got
 
 
-class RecordingNGramScorer(NGramScorer):
-    """Overrides only ``score_next``, so the state key is inherited."""
-
-    def __init__(self, model):
-        super().__init__(model)
-        self.calls = []
-
-    def score_next(self, history, candidate_form, candidate_node) -> float:
-        self.calls.append((tuple(history), candidate_form, candidate_node.node_id))
-        return super().score_next(history, candidate_form, candidate_node)
-
-
-@settings(max_examples=150, deadline=None)
-@given(instances(), ngram_models())
-def test_state_keyed_beam_matches_reference(instance, model):
+@settings(max_examples=300, deadline=None)
+@given(instances(), keyed_scorers())
+def test_state_keyed_beam_matches_reference(instance, scorer):
     sentence, lexicon = instance
     for beam in (1, 2, 3, 7, exhaustive_beam(sentence, lexicon)):
-        want_scorer = RecordingScorer(NGramScorer(model))  # no state key: every candidate
+        want_scorer = RecordingScorer(scorer)  # no state key: every candidate
         want = reference_beam_realize(sentence, want_scorer, beam, lexicon)
-        got = beam_realize(sentence, NGramScorer(model), beam, lexicon)
+        keyed = RecordingKeyedScorer(scorer)
+        got = beam_realize(sentence, keyed, beam, lexicon)
         assert got.tokens == want.tokens
         assert got.node_order == want.node_order
         assert got.score == want.score
         assert got.beam_size == want.beam_size == beam
+        assert keyed.calls == first_calls(want_scorer.calls, scorer.state_key)
 
-        keyed = RecordingNGramScorer(model)
-        again = beam_realize(sentence, keyed, beam, lexicon)
-        assert (again.tokens, again.node_order, again.score) == (want.tokens, want.node_order,
-                                                                want.score)
-        # the reference's calls, keeping only the first of each (state key, form)
-        first_calls, seen = [], set()
-        for history, form, node_id in want_scorer.calls:
-            state = (model.context_key(history), form)
-            if state not in seen:
-                seen.add(state)
-                first_calls.append((history, form, node_id))
-        assert keyed.calls == first_calls
+
+LARGE = instances(min_nodes=6, max_nodes=12, forms=FORMS[:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(LARGE, scorers())
+def test_beam_matches_reference_on_larger_trees(instance, scorer):
+    """Several nodes share a form, so a state key's row grows across parents."""
+    sentence, lexicon = instance
+    for beam in (1, 4, 50):
+        want_scorer, got_scorer = RecordingScorer(scorer), RecordingScorer(scorer)
+        want = reference_beam_realize(sentence, want_scorer, beam, lexicon)
+        got = beam_realize(sentence, got_scorer, beam, lexicon)
+        assert (got.tokens, got.node_order, got.score) == (want.tokens, want.node_order,
+                                                            want.score)
+        assert got_scorer.calls == want_scorer.calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(LARGE, keyed_scorers())
+def test_state_keyed_beam_matches_reference_on_larger_trees(instance, scorer):
+    sentence, lexicon = instance
+    for beam in (1, 4, 50):
+        want_scorer = RecordingScorer(scorer)
+        want = reference_beam_realize(sentence, want_scorer, beam, lexicon)
+        keyed = RecordingKeyedScorer(scorer)
+        got = beam_realize(sentence, keyed, beam, lexicon)
+        assert (got.tokens, got.node_order, got.score) == (want.tokens, want.node_order,
+                                                            want.score)
+        assert keyed.calls == first_calls(want_scorer.calls, scorer.state_key)
 
 
 @settings(max_examples=200, deadline=None)
