@@ -52,18 +52,18 @@ class NGramModel:
 
     def prob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
         tok = token if token in self.vocab else UNK
-        return self._p(self.order, tok, self.context_key(history))
+        return self._p(tok, self.context_key(history))
 
-    def _p(self, k: int, token: str, ctx: tuple[str, ...]) -> float:
-        if k == 0:
-            return self._base
-        total = self.totals.get(k, {}).get(ctx, 0)
-        lower = self._p(k - 1, token, ctx[1:])
-        if total == 0:
-            # nothing observed after this context at order k: defer entirely
-            return lower
-        ml = self.counts[k][ctx][token] / total
-        return self.lam * ml + (1.0 - self.lam) * lower
+    def _p(self, token: str, ctx: tuple[str, ...]) -> float:
+        """P_order(token | ctx), built up from the uniform base one order at a time."""
+        p = self._base
+        for k in range(1, self.order + 1):
+            k_ctx = ctx[self.order - k:]  # the last k-1 context tokens
+            total = self.totals.get(k, {}).get(k_ctx, 0)
+            if total:  # else nothing was observed after k_ctx: defer entirely to order k-1
+                ml = self.counts[k][k_ctx][token] / total
+                p = self.lam * ml + (1.0 - self.lam) * p
+        return p
 
     def logprob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
         ctx = self.context_key(history)
@@ -72,7 +72,7 @@ class NGramModel:
         if cached is None:
             if len(self._memo) >= _MEMO_MAX:
                 self._memo.clear()
-            cached = math.log(self._p(self.order, token if token in self.vocab else UNK, ctx))
+            cached = math.log(self._p(token if token in self.vocab else UNK, ctx))
             self._memo[key] = cached
         return cached
 
@@ -139,6 +139,10 @@ class NGramModel:
                     if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
                         raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
                                          "token outside the unigram vocabulary")
+            # and at least one n-gram of every order 1..order
+            missing = next((k for k in range(1, order + 1) if k not in counts), None)
+            if missing is not None:
+                raise ValueError(f"no order-{missing} counts in an order-{order} model")
             return cls(order=order, lam=lam, counts=counts, vocab=vocab)
         except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
             raise DataError(f"{path} is not a valid n-gram count file: {err}") from None

@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from collections.abc import Hashable
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
 from operator import attrgetter
 
@@ -28,6 +29,7 @@ KEPT_FEATS = frozenset({"Case", "Degree", "Mood", "Number", "Person", "Tense", "
 _LEXICON_ROW = attrgetter("lemma", "upos", "feats", "form")
 
 
+@lru_cache(maxsize=4096)  # a corpus repeats few distinct FEATS strings
 def feats_key(feats: str) -> tuple[tuple[str, str], ...]:
     kept = [(k, v) for k, v in parse_pairs(feats) if k in KEPT_FEATS]
     return tuple(sorted(kept))
@@ -76,16 +78,12 @@ def build_form_lexicon(gold: list[UdSentence]) -> FormLexicon:
     rows: Counter = Counter()
     for sentence in gold:
         rows.update(map(_LEXICON_ROW, sentence.tokens))
-    keys: dict[str, tuple] = {}
     full: dict[tuple, Counter] = defaultdict(Counter)
     by_lemma_upos: dict[tuple, Counter] = defaultdict(Counter)
     by_lemma: dict[str, Counter] = defaultdict(Counter)
     for (lemma, upos, feats, form), n in rows.items():
         lemma = lemma.lower()
-        key = keys.get(feats)
-        if key is None:
-            key = keys[feats] = feats_key(feats)
-        full[lemma, upos, key][form] += n
+        full[lemma, upos, feats_key(feats)][form] += n
         by_lemma_upos[lemma, upos][form] += n
         by_lemma[lemma][form] += n
     return FormLexicon(

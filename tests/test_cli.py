@@ -330,6 +330,16 @@ def test_data_errors(tmp_path, capsys):
                  "--lm", str(zebra_lm), "--lexicon", str(gold),
                  "--out", str(tmp_path / "h.txt")]) == 2
     assert "outside the unigram vocabulary" in capsys.readouterr().err
+    # a header order above the orders the count lines hold
+    header, *count_lines = lm_text.splitlines()
+    deep_lm = tmp_path / "deep.ngrams"
+    deep_lm.write_text("\n".join([header.replace("order=3", "order=1500"),
+                                  *(line for line in count_lines if line.startswith("1\t"))])
+                       + "\n", encoding="utf-8")
+    assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
+                 "--lm", str(deep_lm), "--lexicon", str(gold),
+                 "--out", str(tmp_path / "h.txt")]) == 2
+    assert "no order-2 counts in an order-1500 model" in capsys.readouterr().err
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("only one line\n", encoding="utf-8")
     assert main(["eval", "--hyp", str(hyp), "--ref", str(gold)]) == 2
@@ -441,7 +451,7 @@ from surfreal.parallel import parallel_map
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 os.cpu_count = lambda: 8  # so jobs=2 is not clamped to one process
-assert list(parallel_map(abs, [-1, -2, -3], 2)) == [1, 2, 3]  # below two items per job
+assert parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]  # below two items per job
 pool = ("concurrent.futures.process", "multiprocessing")
 print(json.dumps({"before": [m for m in pool if m in before],
                   "added": [m for m in pool if m in sys.modules and m not in before]}))

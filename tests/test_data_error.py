@@ -66,6 +66,8 @@ def test_the_cat_sleeps_is_what_save_writes(tmp_path):
     THE_CAT_SLEEPS + b"3\tdog cat\tsleeps\t1\n",  # context token outside it
     THE_CAT_SLEEPS + b"2\tcat\tsleeps\t4\n",  # a repeated (order, context, token)
     THE_CAT_SLEEPS + b"1\t\tcat\t1\n",  # a repeated unigram
+    b"ngram-counts-v1\torder=1500\tlambda=0.7\tvocab=1\n1\t\ta\t1\n",  # orders 2..1500 missing
+    THE_CAT_SLEEPS.replace(b"2\t<s>\tThe\t1\n2\tThe\tcat\t1\n2\tcat\tsleeps\t1\n", b""),
 ])
 def test_malformed_count_files(tmp_path, data):
     path = tmp_path / "bad.ngrams"

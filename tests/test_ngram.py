@@ -89,6 +89,11 @@ def test_unseen_context_defers_to_shorter_context():
     assert model.prob("cat", ["dog", "dog"]) == model.prob("cat", ["dog"])
 
 
+def test_orders_above_the_recursion_limit_can_be_queried():
+    model = train_ngram([["a", "b"]], order=1100)
+    assert math.isfinite(model.logprob("b", ["a"]))
+
+
 def test_empty_history_uses_begin_markers():
     model = train_ngram(TOY, order=3, lam=0.7)
     assert model.context_key([]) == (BOS, BOS)
