@@ -103,7 +103,12 @@ class NGramModel:
                 order = int(header[1].removeprefix("order="))
                 lam = float(header[2].removeprefix("lambda="))
                 vocab_size = int(header[3].removeprefix("vocab="))
+                # int() and float() also read spellings save never writes (1_0, +2, 02,
+                # " 2", non-ASCII digits): only save's own spelling of a number loads
+                if header[1:] != [f"order={order}", f"lambda={lam!r}", f"vocab={vocab_size}"]:
+                    raise ValueError(f"header fields {header[1:]} are not as save writes them")
                 counts: dict[int, dict[tuple, Counter]] = {}
+                spelled: dict[str, int] = {}  # count spellings already checked, so each once
                 # save writes each (order, context)'s lines together: parse those once
                 last_k_str = last_ctx_str = None
                 for line in fh:
@@ -111,19 +116,27 @@ class NGramModel:
                     if k_str != last_k_str or ctx_str != last_ctx_str:
                         k = int(k_str)
                         ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
-                        count = int(count_str)
+                        count = spelled.get(count_str) or int(count_str)
                         # save writes only observed n-grams of orders 1..order
                         if not 1 <= k <= order:
                             raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
+                        if k_str != last_k_str and str(k) != k_str:
+                            raise ValueError(f"order {k_str!r} for {token!r} is not as "
+                                             "save writes it")
                         if len(ctx) != k - 1:
                             raise ValueError(f"context {ctx_str!r} for {token!r} holds "
                                              f"{len(ctx)} tokens, not {k - 1}")
                         ctx_counts = counts.setdefault(k, {}).setdefault(ctx, Counter())
                         last_k_str, last_ctx_str = k_str, ctx_str
                     else:
-                        count = int(count_str)
-                    if count < 1:
-                        raise ValueError(f"count {count} for {token!r} is below 1")
+                        count = spelled.get(count_str) or int(count_str)
+                    if count_str not in spelled:
+                        if count < 1:
+                            raise ValueError(f"count {count} for {token!r} is below 1")
+                        if str(count) != count_str:
+                            raise ValueError(f"count {count_str!r} for {token!r} is not as "
+                                             "save writes it")
+                        spelled[count_str] = count
                     if token in ctx_counts:
                         raise ValueError(f"repeated order-{k} count for {token!r} "
                                          f"after {ctx_str!r}")
@@ -171,8 +184,9 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         # by-context table, so no second full table outlives the move
         grams: Counter = Counter()
         for sent in references:
-            seq = pad + tuple(sent)
-            grams.update(zip(*(seq[order - k + j:] for j in range(k))))
+            # the k shifted copies of the padded sentence, each cut to the sentence's length
+            seq, length = pad + tuple(sent), len(sent)
+            grams.update(zip(*(seq[start:start + length] for start in range(order - k, order))))
         by_ctx = counts[k] = {}
         while grams:
             gram, n = grams.popitem()

@@ -93,17 +93,11 @@ def build_form_lexicon(gold: list[UdSentence]) -> FormLexicon:
     )
 
 
-@dataclass(frozen=True)
-class NodeHandle:
-    """Identity plus payload of the tree node a candidate form realizes."""
-
-    node_id: int
-    info: NodeInfo
-
-
 class Scorer(ABC):
     """Log-probability of a candidate continuation; pure and read-only.
 
+    ``history`` is the tuple of forms the hypothesis has emitted so far and
+    ``node_id`` the id of the tree node that ``candidate_form`` realizes.
     ``state_key`` may name the part of a history the scores depend on:
     when it returns a key other than None, ``score_next`` must depend only
     on that key and the candidate form (not on the node, nor on the rest
@@ -112,26 +106,27 @@ class Scorer(ABC):
     """
 
     @abstractmethod
-    def score_next(self, history: list[str], candidate_form: str,
-                   candidate_node: NodeHandle) -> float: ...
+    def score_next(self, history: tuple[str, ...], candidate_form: str,
+                   node_id: int) -> float: ...
 
-    def state_key(self, history: list[str]) -> Hashable | None:
+    def state_key(self, history: tuple[str, ...]) -> Hashable | None:
         return None
 
 
 class NGramScorer(Scorer):
     """An n-gram model's log-probability; its state is the model's context.
 
-    A subclass whose ``score_next`` reads the node or more of the history
-    than the model's context must override ``state_key`` to return None;
-    otherwise the beam search reuses one candidate's score for every other
-    candidate with the same context and form.
+    The node id is not read.  A subclass whose ``score_next`` reads the
+    node or more of the history than the model's context must override
+    ``state_key`` to return None; otherwise the beam search reuses one
+    candidate's score for every other candidate with the same context and
+    form.
     """
 
     def __init__(self, model: NGramModel):
         self.model = model
 
-    def score_next(self, history, candidate_form, candidate_node) -> float:
+    def score_next(self, history, candidate_form, node_id) -> float:
         return self.model.logprob(candidate_form, history)
 
     def state_key(self, history) -> tuple[str, ...]:
@@ -150,9 +145,9 @@ class OracleScorer(Scorer):
         self.alignment = reference.alignment
         self.forms = reference.reference_forms
 
-    def score_next(self, history, candidate_form, candidate_node) -> float:
+    def score_next(self, history, candidate_form, node_id) -> float:
         pos = len(history)
-        if self.alignment.get(candidate_node.node_id) == pos and candidate_form == self.forms[pos]:
+        if self.alignment.get(node_id) == pos and candidate_form == self.forms[pos]:
             return 0.0
         return self.WRONG
 
@@ -204,9 +199,10 @@ def beam_realize(
     The canonical continuation order is ascending node id, then the
     node's lexicon candidates in their order (descending count, then form
     string); the generation order of a step's candidates is beam rank,
-    then that order.  ``scorer.score_next`` is called once per candidate,
-    in generation order, when ``scorer.state_key`` returns None for the
-    parent's history; otherwise it is called once per distinct
+    then that order.  ``scorer.score_next`` gets the parent's forms tuple
+    itself as the history, and the candidate's node id.  It is called once
+    per candidate, in generation order, when ``scorer.state_key`` returns
+    None for the parent's forms; otherwise it is called once per distinct
     (state key, form) per sentence, for the first candidate in that
     order that needs it, and the delta is reused for every later
     candidate with the same key and form.  A candidate's score is its
@@ -249,33 +245,31 @@ def beam_realize(
             for rank, (form, _count) in enumerate(lexicon.candidates_for(tree.nodes[node_id])))
         for move in moves:
             moves_by_form[move[2]].append(move)
-    handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in node_ids}
-    # state key -> (form -> delta, the nodes whose forms are all in that row,
-    # (-delta, the form's moves) per form in the row, sorted), this sentence
-    tables: dict[Hashable, tuple[dict[str, float], set[int], list]] = {}
+    # state key -> (the forms scored, the nodes whose forms are all scored,
+    # (-delta, the form's moves) per scored form, sorted), this sentence
+    tables: dict[Hashable, tuple[set[str], set[int], list]] = {}
 
     beam = [(0.0, (), frozenset(node_ids), ())]  # (score, forms, remaining, node order)
     slots = [1]
     for _step in range(n):
         streams = []  # per parent, its candidates not yet in the merge
         for parent_index, (base, forms, remaining, _node_order) in enumerate(beam):
-            history = list(forms)
-            key = scorer.state_key(history)
+            key = scorer.state_key(forms)
             if key is None:  # a group per candidate
-                ranked = sorted([(-scorer.score_next(history, move[2], handles[unused]), (move,))
+                ranked = sorted([(-scorer.score_next(forms, move[2], unused), (move,))
                                  for unused in sorted(remaining) for move in moves_of[unused]])
             else:
                 table = tables.get(key)
                 if table is None:
-                    table = tables[key] = ({}, set(), [])
-                row, covered, ranked = table
+                    table = tables[key] = (set(), set(), [])
+                scored, covered, ranked = table
                 if not covered.issuperset(remaining):
                     for unused in sorted(remaining - covered):
                         for _node_id, _rank, form in moves_of[unused]:
-                            if form not in row:
-                                delta = row[form] = scorer.score_next(history, form,
-                                                                      handles[unused])
-                                ranked.append((-delta, moves_by_form[form]))
+                            if form not in scored:
+                                scored.add(form)
+                                ranked.append((-scorer.score_next(forms, form, unused),
+                                               moves_by_form[form]))
                     covered.update(remaining)
                     ranked.sort()
             streams.append(_ranked_candidates(ranked, base, parent_index, remaining))
@@ -283,25 +277,16 @@ def beam_realize(
         heads = [head for stream in streams if (head := next(stream, None)) is not None]
         heapify(heads)
 
-        # a survivor's slot is at most its parent's plus the survivors before it,
-        # so no slot above max(slots) + candidates is ever taken and the table need
-        # not reach beam_size; each parent has a candidate, so they are counted only
-        # for a beam wider than max(slots) + parents
-        top = beam_size
-        if max(slots) + len(beam) < beam_size:
-            top = min(beam_size, max(slots) + sum(
-                len(moves_of[node_id]) for _base, _forms, remaining, _order in beam
-                for node_id in remaining))
-        # union-find over slots: next_free[s] chases the lowest free slot >= s;
-        # top + 1 is the overflow sentinel meaning "prune"
-        next_free = list(range(top + 2))
+        # union-find over the taken slots: taken[s] chases the lowest free slot >= s,
+        # and a free slot above beam_size means "prune"
+        taken: dict[int, int] = {}
 
         def _free_slot(slot: int) -> int:
             root = slot
-            while next_free[root] != root:
-                root = next_free[root]
-            while next_free[slot] != root:
-                next_free[slot], slot = root, next_free[slot]
+            while root in taken:
+                root = taken[root]
+            while slot != root:
+                taken[slot], slot = root, taken[slot]
             return root
 
         parents, parent_slots = beam, slots
@@ -309,11 +294,11 @@ def beam_realize(
         while heads:
             neg_score, parent_index, node_id, _rank, form = heads[0]
             slot = _free_slot(parent_slots[parent_index])
-            if slot > top:
+            if slot > beam_size:
                 # slots only fill, so none will free up for this parent's later candidates
                 heappop(heads)
                 continue
-            next_free[slot] = slot + 1
+            taken[slot] = slot + 1
             _base, forms, remaining, node_order = parents[parent_index]
             beam.append((-neg_score, forms + (form,), remaining - {node_id},
                          node_order + (node_id,)))

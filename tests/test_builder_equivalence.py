@@ -367,9 +367,10 @@ def test_train_ngram_matches_reference(corpus, order):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=8),
                 min_size=1, max_size=6),
-       st.integers(1, 5))
+       st.integers(1, 5) | st.just(200))
 def test_train_ngram_matches_reference_on_clean_corpora(corpus, order):
-    # most generated corpora above hold a fault; these hold none
+    # most generated corpora above hold a fault; these hold none.  Order 200 is far
+    # above every sentence's length, so most of its k-grams are begin markers
     model = train_ngram(corpus, order=order)
     assert (model.counts, model.vocab) == reference_train_ngram(corpus, order)
 

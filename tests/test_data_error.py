@@ -68,6 +68,17 @@ def test_the_cat_sleeps_is_what_save_writes(tmp_path):
     THE_CAT_SLEEPS + b"1\t\tcat\t1\n",  # a repeated unigram
     b"ngram-counts-v1\torder=1500\tlambda=0.7\tvocab=1\n1\t\ta\t1\n",  # orders 2..1500 missing
     THE_CAT_SLEEPS.replace(b"2\t<s>\tThe\t1\n2\tThe\tcat\t1\n2\tcat\tsleeps\t1\n", b""),
+    # numbers int() and float() read but save never writes
+    *(THE_CAT_SLEEPS.replace(line, line[:-2] + count + b"\n", 1)
+      for line in (b"\tThe\t1\n", b"\tcat\t1\n")  # first and later line of a context
+      for count in (b"1_0", b"+2", b"02", b" 2", b"2 ", "\u0662".encode())),
+    *(THE_CAT_SLEEPS.replace(b"\n1\t\tThe", b"\n" + order + b"\t\tThe")
+      for order in (b"+1", b"01", b" 1", "\u0661".encode())),
+    *(THE_CAT_SLEEPS.replace(field, spelled) for field, spelled in (
+        (b"order=3", b"order=+3"), (b"order=3", b"order=03"), (b"order=3", b"3"),
+        (b"vocab=3", b"vocab=0_3"), (b"vocab=3", "vocab=\u0663".encode()),
+        (b"lambda=0.7", b"lambda=0.70"), (b"lambda=0.7", b"lambda=+.7"),
+        (b"lambda=0.7", b"lambda=7e-1"))),
 ])
 def test_malformed_count_files(tmp_path, data):
     path = tmp_path / "bad.ngrams"

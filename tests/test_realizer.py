@@ -8,7 +8,6 @@ from surfreal.ngram import train_ngram
 from surfreal.realizer import (
     FormLexicon,
     NGramScorer,
-    NodeHandle,
     OracleScorer,
     beam_realize,
     build_form_lexicon,
@@ -69,7 +68,7 @@ def test_oracle_scorer_marks_exactly_one_continuation_per_step(toy):
     zero_scored = [
         (nid, form) for nid in sorted(s.tree.nodes)
         for form, _count in lexicon.candidates_for(s.tree.nodes[nid])
-        if scorer.score_next([], form, NodeHandle(nid, s.tree.nodes[nid])) == 0.0
+        if scorer.score_next((), form, nid) == 0.0
     ]
     first_node = next(nid for nid, pos in s.alignment.items() if pos == 0)
     assert zero_scored == [(first_node, s.reference_forms[0])]
@@ -126,10 +125,10 @@ def nopruning_best(s, scorer, lexicon):
     for _ in range(tree.size()):
         grown = []
         for emitted, remaining, score in level:
-            history = [f for _, f in emitted]
+            history = tuple(f for _, f in emitted)
             for nid in sorted(remaining):
                 for form, _ in lexicon.candidates_for(tree.nodes[nid]):
-                    delta = scorer.score_next(history, form, NodeHandle(nid, tree.nodes[nid]))
+                    delta = scorer.score_next(history, form, nid)
                     grown.append((emitted + ((nid, form),), remaining - {nid}, score + delta))
         grown.sort(key=lambda t: -t[2])
         level = grown
@@ -145,10 +144,10 @@ def all_completions(s, scorer, lexicon):
         if not remaining:
             out.append((score, emitted))
             return
-        history = [f for _, f in emitted]
+        history = tuple(f for _, f in emitted)
         for nid in sorted(remaining):
             for form, _ in lexicon.candidates_for(tree.nodes[nid]):
-                delta = scorer.score_next(history, form, NodeHandle(nid, tree.nodes[nid]))
+                delta = scorer.score_next(history, form, nid)
                 rec(emitted + ((nid, form),), remaining - {nid}, score + delta)
 
     rec((), frozenset(tree.nodes), 0.0)
@@ -218,15 +217,15 @@ def test_ngram_scorer_distributions_normalize(toy):
     refs = [[t.form for t in s.tokens] for s in gold]
     model = train_ngram(refs, order=3, lam=0.7)
     scorer = NGramScorer(model)
-    node = NodeHandle(1, list(shallow_transform(gold[0], 0).tree.nodes.values())[0])
+    node_id = 1
     rng = random.Random(4)
     vocab = sorted(model.vocab)
     for _ in range(10):
-        history = [rng.choice(vocab) for _ in range(rng.randint(0, 4))]
-        total = sum(math.exp(scorer.score_next(history, w, node)) for w in vocab)
-        total += math.exp(scorer.score_next(history, "<unk>", node))
+        history = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 4)))
+        total = sum(math.exp(scorer.score_next(history, w, node_id)) for w in vocab)
+        total += math.exp(scorer.score_next(history, "<unk>", node_id))
         assert abs(total - 1.0) < 1e-9
-    assert scorer.score_next([], "never-seen-form", node) < 0.0
+    assert scorer.score_next((), "never-seen-form", node_id) < 0.0
 
 
 def test_coverage_diagnostic_flags_unreachable_references(toy):

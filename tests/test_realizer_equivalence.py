@@ -27,7 +27,6 @@ from surfreal.ngram import BOS, train_ngram
 from surfreal.realizer import (
     FormLexicon,
     NGramScorer,
-    NodeHandle,
     RealizationResult,
     Scorer,
     beam_realize,
@@ -44,8 +43,8 @@ class Hypothesis:
     remaining: frozenset[int]
     score: float
 
-    def forms(self) -> list[str]:
-        return [form for _, form in self.emitted]
+    def forms(self) -> tuple[str, ...]:
+        return tuple(form for _, form in self.emitted)
 
 
 def reference_beam_realize(
@@ -61,7 +60,6 @@ def reference_beam_realize(
     if n < 1:
         raise ValueError("sentence has no nodes")
     cands = {node_id: lexicon.candidates_for(tree.nodes[node_id]) for node_id in tree.node_ids()}
-    handles = {node_id: NodeHandle(node_id, tree.nodes[node_id]) for node_id in tree.node_ids()}
 
     beam = [Hypothesis(emitted=(), remaining=frozenset(tree.nodes), score=0.0)]
     slots = [1]
@@ -72,7 +70,7 @@ def reference_beam_realize(
             history = hyp.forms()
             for node_id in sorted(hyp.remaining):
                 for form, _count in cands[node_id]:
-                    delta = scorer.score_next(history, form, handles[node_id])
+                    delta = scorer.score_next(history, form, node_id)
                     entries.append(
                         Hypothesis(
                             emitted=hyp.emitted + ((node_id, form),),
@@ -108,7 +106,7 @@ def reference_beam_realize(
     # first element is the returned argmax
     best = beam[0]
     return RealizationResult(
-        tokens=best.forms(),
+        tokens=list(best.forms()),
         node_order=[node_id for node_id, _ in best.emitted],
         score=best.score,
         beam_size=beam_size,
@@ -124,10 +122,9 @@ class TableScorer(Scorer):
         self.seed = seed
         self.coarse = coarse
 
-    def score_next(self, history, candidate_form, candidate_node) -> float:
+    def score_next(self, history, candidate_form, node_id) -> float:
         prev = history[-1] if history else BOS
-        rng = random.Random(
-            f"{self.seed}|{len(history)}|{prev}|{candidate_node.node_id}|{candidate_form}")
+        rng = random.Random(f"{self.seed}|{len(history)}|{prev}|{node_id}|{candidate_form}")
         return float(rng.randint(-2, 0)) if self.coarse else math.log(rng.random() + 1e-3)
 
 
@@ -146,7 +143,7 @@ class LastFormScorer(Scorer):
     def state_key(self, history) -> str:
         return history[-1] if history else BOS
 
-    def score_next(self, history, candidate_form, candidate_node) -> float:
+    def score_next(self, history, candidate_form, node_id) -> float:
         rng = random.Random(f"{self.seed}|{self.state_key(history)}|{candidate_form}")
         if self.coarse:
             return float(rng.randint(-2, 0))
@@ -160,9 +157,9 @@ class RecordingScorer(Scorer):
         self.inner = inner
         self.calls = []
 
-    def score_next(self, history, candidate_form, candidate_node) -> float:
-        self.calls.append((tuple(history), candidate_form, candidate_node.node_id))
-        return self.inner.score_next(history, candidate_form, candidate_node)
+    def score_next(self, history, candidate_form, node_id) -> float:
+        self.calls.append((history, candidate_form, node_id))
+        return self.inner.score_next(history, candidate_form, node_id)
 
 
 class RecordingKeyedScorer(RecordingScorer):
@@ -361,13 +358,12 @@ def test_state_keyed_beam_matches_reference_on_larger_trees(instance, scorer):
        node_ids=st.lists(st.integers(1, 5), min_size=2, max_size=2))
 def test_ngram_score_depends_only_on_state_key_and_form(model, prefixes, tail, form, node_ids):
     scorer = NGramScorer(model)
-    histories = [prefix + tail for prefix in prefixes]
-    handles = [NodeHandle(node_id, None) for node_id in node_ids]
+    histories = [tuple(prefix + tail) for prefix in prefixes]
     keys = [scorer.state_key(history) for history in histories]
     assert keys[0] == model.context_key(histories[0])
     if keys[0] == keys[1]:
-        assert (scorer.score_next(histories[0], form, handles[0])
-                == scorer.score_next(histories[1], form, handles[1]))
+        assert (scorer.score_next(histories[0], form, node_ids[0])
+                == scorer.score_next(histories[1], form, node_ids[1]))
     # a tail of at least order-1 forms fixes the key
     if len(tail) >= model.order - 1:
         assert keys[0] == keys[1]
