@@ -50,6 +50,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _digests(paths: list[Path]) -> dict[str, str]:
+    """Each file's digest keyed by its name, or by its path as given when
+    another of the files has the same name."""
+    names = [p.name for p in paths]
+    return {str(p) if names.count(p.name) > 1 else p.name: _sha256(p) for p in paths}
+
+
 def _write_manifest(
     manifest_path: Path, subcommand: str, config: dict, inputs: list[Path], outputs: list[Path]
 ) -> None:
@@ -57,8 +64,8 @@ def _write_manifest(
         "tool": "sr",
         "subcommand": subcommand,
         "config": config,
-        "inputs": {p.name: _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "inputs": _digests(inputs),
+        "outputs": _digests(outputs),
     }
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                              encoding="utf-8")
@@ -141,6 +148,8 @@ def cmd_synth(args) -> int:
     vocab = build_vocab((s.forms() for s in gold), args.min_count)
     dataset, stats = build_synthetic_dataset(
         _read_text(args.in_path), vocab, policy, args.seed, jobs=args.jobs)
+    if stats.input_count == 0:
+        raise DataError(f"no sentences in {args.in_path}")
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "synth")
     stats_path = out_dir / "stats.txt"
@@ -157,6 +166,8 @@ def cmd_synth(args) -> int:
 
 def _load_shallow_dataset(conllu_path: Path, refs_path: Path | None) -> list[ShallowSentence]:
     sentences = parse_conllu(_read_text(conllu_path))
+    if not sentences:
+        raise DataError(f"no sentences in {conllu_path}")
     refs = _read_ref_lines(refs_path) if refs_path else None
     if refs is not None and len(refs) != len(sentences):
         raise DataError(

@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .conllu_io import EMPTY, ConlluError, UdSentence, UdToken, misc_get
 
@@ -73,27 +73,32 @@ class ShallowSentence:
     alignment: dict[int, int] | None = None
 
 
-def build_tree(sentence: UdSentence) -> DepTree:
-    """The tree of a sentence under its own ids.  Raises ConlluError unless
-    exactly one token has head 0; other tree faults, such as a cycle under
-    one root, are ``validate_sentence``'s job, which ``parse_block`` runs."""
+def _tree(tokens: list[UdToken], new_id: Sequence[int]) -> DepTree:
+    """The tree of ``tokens`` with each id and head ``i`` renamed to
+    ``new_id[i]`` (``new_id[0]`` is 0).  Raises ConlluError unless exactly
+    one token has head 0."""
     nodes = {}
     children: dict[int, list[int]] = {}
     roots = []
-    for t in sentence.tokens:
-        node_id = t[0]
+    for t in tokens:
+        node_id = new_id[t[0]]
         nodes[node_id] = _new_row(NodeInfo, _node_fields(t))
         if t[6] == 0:
             roots.append(node_id)
         else:
-            children.setdefault(t[6], []).append(node_id)
-    return DepTree(root=_only_root(roots), nodes=nodes, children=children)
-
-
-def _only_root(roots: list[int]) -> int:
+            children.setdefault(new_id[t[6]], []).append(node_id)
     if len(roots) != 1:
         raise ConlluError(f"expected exactly one root, found {len(roots)}")
-    return roots[0]
+    return DepTree(root=roots[0], nodes=nodes, children=children)
+
+
+def build_tree(sentence: UdSentence) -> DepTree:
+    """The tree of a sentence under its own ids, which must be 1..n in order
+    with heads in 0..n, as ``validate_sentence`` checks.  Raises ConlluError
+    unless exactly one token has head 0; other tree faults, such as a cycle
+    under one root, are ``validate_sentence``'s job, which ``parse_block`` runs."""
+    tokens = sentence.tokens
+    return _tree(tokens, range(len(tokens) + 1))
 
 
 def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
@@ -102,31 +107,16 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     Node ids are renamed by a seeded uniform permutation; the same seed
     always yields the same instance.  ``alignment[new_id]`` gives the
     0-based reference position of the token that became ``new_id``.
-    Like :func:`build_tree`, raises ConlluError unless exactly one token
-    has head 0, and leaves other tree faults to ``validate_sentence``.
+    Takes the same input as :func:`build_tree` and raises the same errors.
     """
     tokens = sentence.tokens
     perm = list(range(1, len(tokens) + 1))
     random.Random(seed).shuffle(perm)
-
-    # the token with id i is renamed to perm[i - 1]
-    nodes = {}
-    children: dict[int, list[int]] = {}
-    roots = []
-    alignment = {}
-    for i, t in enumerate(tokens):
-        new_id = perm[t[0] - 1]
-        nodes[new_id] = _new_row(NodeInfo, _node_fields(t))
-        alignment[new_id] = i
-        if t[6] == 0:
-            roots.append(new_id)
-        else:
-            children.setdefault(perm[t[6] - 1], []).append(new_id)
-    tree = DepTree(root=_only_root(roots), nodes=nodes, children=children)
+    # the token with id i is renamed to perm[i - 1], and its position is i - 1
     return ShallowSentence(
-        tree=tree,
+        tree=_tree(tokens, [0, *perm]),
         reference_forms=tuple(t[1] for t in tokens),
-        alignment=alignment,
+        alignment=dict(zip(perm, range(len(perm)))),
     )
 
 

@@ -7,13 +7,6 @@ surface-vocabulary overlap against the original dataset, and the
 survivors are shallow-transformed with per-sentence derived seeds.
 Statistics reconcile exactly: every input block is kept or rejected for
 exactly one reason.
-
-Sifting runs block by block in the calling process, with no worker
-processes: on two CPUs, a process fan-out over slices of the input was
-slower than this up to a few thousand blocks and only broke even at
-about 18,000.  The ``jobs`` argument of :func:`build_synthetic_dataset`
-is accepted and has no effect; it stays until the benchmark stops
-passing it.
 """
 
 from __future__ import annotations
@@ -114,19 +107,6 @@ def nfc_sentence(sentence: UdSentence) -> UdSentence:
                       ignored_lines=list(sentence.ignored_lines))
 
 
-def _sift_block(block: list[str], vocab: frozenset[str], policy: FilterPolicy) -> UdSentence | str:
-    """Parse, normalize and filter one block: the sentence, or why it was rejected."""
-    try:
-        sentence = parse_block(block)
-    except ConlluError:
-        return REASON_MALFORMED
-    sentence = nfc_sentence(sentence)
-    if unwritable_form(sentence) is not None:
-        return REASON_MALFORMED
-    reason = filter_sentence(sentence.forms(), vocab, policy)
-    return sentence if reason is None else reason
-
-
 def build_synthetic_dataset(
     text: str,
     vocab: frozenset[str],
@@ -139,18 +119,25 @@ def build_synthetic_dataset(
     Output order follows input order; kept sentence number i (0-based)
     is transformed with seed rng_seed + i.  Blocks are sifted one at a
     time in this process, and each kept sentence is transformed as soon
-    as it is sifted.  ``jobs`` has no effect (see the module docstring).
+    as it is sifted.  ``jobs`` is accepted and has no effect; it stays
+    until the benchmark stops passing it.
     """
     dataset: list[ShallowSentence] = []
     reasons: Counter = Counter()
     input_count = 0
     for block in iter_blocks(text):
         input_count += 1
-        sifted = _sift_block(block, vocab, policy)
-        if isinstance(sifted, str):
-            reasons[sifted] += 1
+        try:
+            sentence = nfc_sentence(parse_block(block))
+        except ConlluError:
+            reasons[REASON_MALFORMED] += 1
+            continue
+        reason = (REASON_MALFORMED if unwritable_form(sentence) is not None
+                  else filter_sentence(sentence.forms(), vocab, policy))
+        if reason is None:
+            dataset.append(shallow_transform(sentence, rng_seed + len(dataset)))
         else:
-            dataset.append(shallow_transform(sifted, rng_seed + len(dataset)))
+            reasons[reason] += 1
     stats = SynthStats(input_count=input_count, kept_count=len(dataset),
                        rejected_by_length=reasons[REASON_LENGTH],
                        rejected_by_overlap=reasons[REASON_OVERLAP],

@@ -485,7 +485,22 @@ def loose_sentences(draw, max_tokens: int = 6) -> UdSentence:
                               for i in range(1, n + 1)])
 
 
+@st.composite
+def long_sentences(draw, max_tokens: int = 300) -> UdSentence:
+    """Up to ``max_tokens`` tokens, in a random tree or with heads anywhere
+    in 0..n as in :func:`loose_sentences`."""
+    n = draw(st.integers(1, max_tokens))
+    if draw(st.booleans()):
+        head = draw(heads(n))
+    else:
+        head = dict(enumerate(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), 1))
+    return UdSentence(tokens=[UdToken(i, f"f{i}", f"l{i % 7}", "X", "_", "_", head[i],
+                                      "dep", "_", "_")
+                              for i in range(1, n + 1)])
+
+
 ANY_SENTENCES = st.one_of(sentences(), loose_sentences())
+BUILDER_SENTENCES = st.one_of(ANY_SENTENCES, long_sentences())
 
 
 def row_types(tree):
@@ -493,7 +508,7 @@ def row_types(tree):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ANY_SENTENCES)
+@given(BUILDER_SENTENCES)
 def test_build_tree_matches_before(sentence):
     expected = outcome(lambda: before_build_tree(sentence))
     assert outcome(lambda: build_tree(sentence)) == expected
@@ -502,7 +517,7 @@ def test_build_tree_matches_before(sentence):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ANY_SENTENCES, st.integers(0, 2**32))
+@given(BUILDER_SENTENCES, st.integers(0, 2**32))
 def test_shallow_transform_matches_before(sentence, seed):
     expected = outcome(lambda: before_shallow_transform(sentence, seed))
     assert outcome(lambda: shallow_transform(sentence, seed)) == expected

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -104,6 +105,26 @@ def test_realize_rerun_and_jobs_are_byte_identical(pipeline, tmp_path):
     base = (root / "hyp.txt").read_bytes()
     assert (tmp_path / "hyp1.txt").read_bytes() == base
     assert (tmp_path / "hyp3.txt").read_bytes() == base
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_keeps_inputs_that_share_a_name(pipeline, tmp_path):
+    root = pipeline["root"]
+    inputs = json.loads((root / "hyp.txt.manifest.json").read_text())["inputs"]
+    assert set(inputs) == {"shallow.stripped.conllu", "lm.ngrams", "gold.conllu"}
+    # --in and --lexicon both named gold.conllu: each keeps its own digest
+    shallow = tmp_path / "gold.conllu"
+    shallow.write_bytes((root / "ds" / "shallow.stripped.conllu").read_bytes())
+    assert main(["realize", "--in", str(shallow), "--lm", str(root / "lm.ngrams"),
+                 "--lexicon", str(pipeline["gold_path"]), "--beam", "5",
+                 "--out", str(tmp_path / "hyp.txt")]) == 0
+    inputs = json.loads((tmp_path / "hyp.txt.manifest.json").read_text())["inputs"]
+    assert inputs == {str(shallow): sha256(shallow),
+                      str(pipeline["gold_path"]): sha256(pipeline["gold_path"]),
+                      "lm.ngrams": sha256(root / "lm.ngrams")}
 
 
 def test_make_dataset_rerun_is_byte_identical(pipeline, tmp_path):
@@ -248,8 +269,8 @@ def test_usage_errors(tmp_path):
     assert main(["eval", "--hyp", str(ds / "refs.txt"), "--ref", str(gold),
                  "--jobs", "0"]) == 1
     assert not (tmp_path / "s").exists() and not (tmp_path / "h.txt").exists()
-    # --beam is a hypothesis count, checked before any input is read, so even an
-    # empty shallow file (nothing to realize) does not get past it
+    # --beam is a hypothesis count, checked before any input is read, so a bad
+    # value exits 1 even on an empty shallow file, itself a data error (exit 2)
     assert main(["train-lm", "--refs", str(ds / "refs.txt"), "--out", str(tmp_path / "lm")]) == 0
     empty = tmp_path / "empty.conllu"
     empty.write_text("", encoding="utf-8")
@@ -396,6 +417,17 @@ def test_data_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "s_empty")]) == 2
     assert "no sentences in" in capsys.readouterr().err
     assert not (tmp_path / "s_empty").exists()
+    # an empty shallow or parsed --in is a data error too, before any output
+    out = tmp_path / "e"
+    for command, flags in (
+        ("realize", ["--lm", str(tmp_path / "lm.ngrams"), "--lexicon", str(gold),
+                     "--out", str(out / "h.txt")]),
+        ("pairs", ["--refs", str(empty), "--out", str(out)]),
+        ("synth", ["--vocab-from", str(gold), "--out", str(out)]),
+    ):
+        assert main([command, "--in", str(empty), *flags]) == 2, command
+        assert f"no sentences in {empty}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_out_creates_its_directory(pipeline, tmp_path):
