@@ -150,6 +150,9 @@ def cmd_synth(args) -> int:
         _read_text(args.in_path), vocab, policy, args.seed, jobs=args.jobs)
     if stats.input_count == 0:
         raise DataError(f"no sentences in {args.in_path}")
+    if stats.kept_count == 0:
+        print(stats.as_report(), end="", file=sys.stderr)
+        raise DataError(f"no sentence of {args.in_path} passed the filters")
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "synth")
     stats_path = out_dir / "stats.txt"

@@ -6,6 +6,12 @@ unknown token.  A context never observed at order k contributes no
 maximum-likelihood mass, so the query passes through to order k-1
 unweighted; this keeps every conditional distribution normalized.
 
+Queries are cached twice: ``logprob`` memoizes each (token, context)
+score, and each full context keeps its rows, the (counts, total) of
+every order whose shorter context was observed, so a context's later
+queries fold those rows without slicing or probing a table per order.
+``_MEMO_MAX`` bounds both caches, and pickling drops both.
+
 Models persist as sorted plain-text count files and reload to
 bit-identical scores.
 """
@@ -20,7 +26,8 @@ from .conllu_io import DataError
 BOS = "<s>"
 UNK = "<unk>"
 _HEADER_TAG = "ngram-counts-v1"
-# logprob memo entries kept before the memo is cleared; bounds memory on long runs
+# logprob memo entries, and contexts with cached rows, kept before each cache is
+# cleared; bounds memory on long runs
 _MEMO_MAX = 1_000_000
 
 
@@ -41,14 +48,17 @@ class NGramModel:
         }
         self._base = 1.0 / (len(vocab) + 1)  # vocab plus the unknown token
         self._memo: dict[tuple, float] = {}
+        # per full context, its rows for _p (see _fill_rows)
+        self._rows: dict[tuple, tuple[tuple[Counter, int], ...]] = {}
 
     # queries ---------------------------------------------------------------
 
     def context_key(self, history: tuple[str, ...] | list[str]) -> tuple[str, ...]:
         """Last order-1 history tokens, left-padded with begin markers."""
         need = self.order - 1
-        hist = tuple(history[-need:]) if need else ()  # history[-0:] is all of it
-        return (BOS,) * (need - len(hist)) + hist
+        if len(history) >= need:
+            return tuple(history[-need:]) if need else ()  # history[-0:] is all of it
+        return (BOS,) * (need - len(history)) + tuple(history)
 
     def prob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
         tok = token if token in self.vocab else UNK
@@ -56,14 +66,29 @@ class NGramModel:
 
     def _p(self, token: str, ctx: tuple[str, ...]) -> float:
         """P_order(token | ctx), built up from the uniform base one order at a time."""
+        rows = self._rows.get(ctx)
+        if rows is None:
+            rows = self._fill_rows(ctx)
+        lam = self.lam
         p = self._base
+        for counter, total in rows:
+            p = lam * (counter.get(token, 0) / total) + (1.0 - lam) * p
+        return p
+
+    def _fill_rows(self, ctx: tuple[str, ...]) -> tuple[tuple[Counter, int], ...]:
+        """The (counts, total) of each order 1..order whose context in ``ctx`` was
+        observed, in ascending order; a context not observed at order k passes
+        the query through to order k-1, so it has no row."""
+        if len(self._rows) >= _MEMO_MAX:
+            self._rows.clear()
+        rows = []
         for k in range(1, self.order + 1):
             k_ctx = ctx[self.order - k:]  # the last k-1 context tokens
             total = self.totals.get(k, {}).get(k_ctx, 0)
-            if total:  # else nothing was observed after k_ctx: defer entirely to order k-1
-                ml = self.counts[k][k_ctx][token] / total
-                p = self.lam * ml + (1.0 - self.lam) * p
-        return p
+            if total:
+                rows.append((self.counts[k][k_ctx], total))
+        rows = self._rows[ctx] = tuple(rows)
+        return rows
 
     def logprob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
         ctx = self.context_key(history)
@@ -79,6 +104,7 @@ class NGramModel:
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_memo"] = {}
+        state["_rows"] = {}
         return state
 
     # persistence -----------------------------------------------------------

@@ -160,16 +160,16 @@ class RealizationResult:
     beam_size: int
 
 
-def _ranked_candidates(ranked: list, base: float, parent_index: int, remaining: frozenset):
-    """A parent's candidates, best first, as (-score, parent index, node id,
+def _ranked_candidates(ranked: list, base: float, parent_index: int, remaining: int):
+    """A parent's candidates, best first, as (-score, parent index, node bit,
     lexicon rank, form) with score = base + delta.
 
     ``ranked`` holds (-delta, moves) groups in ascending order, each group's
-    (node id, lexicon rank, form) moves in ascending order; moves of nodes
-    outside ``remaining`` are skipped.  Rounding is monotone, so adding the
-    base keeps the groups in order, except that neighbouring deltas can sum
-    to equal scores: such groups are read together and their moves put
-    back in generation order (node id, then rank).
+    (node bit, lexicon rank, form) moves in ascending order; moves of nodes
+    whose bit is not set in ``remaining`` are skipped.  Rounding is
+    monotone, so adding the base keeps the groups in order, except that
+    neighbouring deltas can sum to equal scores: such groups are read
+    together and their moves put back in generation order (node, then rank).
     """
     i, end = 0, len(ranked)
     while i < end:
@@ -183,9 +183,9 @@ def _ranked_candidates(ranked: list, base: float, parent_index: int, remaining: 
                 i += 1
             moves = sorted(tied)
         neg_score = -score
-        for node_id, rank, form in moves:
-            if node_id in remaining:
-                yield (neg_score, parent_index, node_id, rank, form)
+        for bit, rank, form in moves:
+            if bit & remaining:
+                yield (neg_score, parent_index, bit, rank, form)
 
 
 def beam_realize(
@@ -227,8 +227,10 @@ def beam_realize(
     merge, since its later candidates would overflow too, and the step
     ends once every slot is taken, so a step's cost follows the
     candidates the merge reaches rather than all it could rank.  A
-    hypothesis, the plain tuple (score, forms, unused node ids as a
-    frozenset, node order), is built only for a survivor.
+    hypothesis, the plain tuple (score, forms, unused nodes, node order),
+    is built only for a survivor.  Its unused nodes are an int bit set
+    over the sorted node ids (bit i stands for the i-th smallest id), so
+    placing a node and testing one are single int operations.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -237,40 +239,51 @@ def beam_realize(
     if n < 1:
         raise ValueError("sentence has no nodes")
     node_ids = tree.node_ids()
-    moves_of = {}  # per node, its (node id, lexicon rank, form) moves in candidate order
+    moves_of = []  # per node, in id order, its (node bit, lexicon rank, form) moves
     moves_by_form = defaultdict(list)  # per form, its moves in generation order
-    for node_id in node_ids:
-        moves_of[node_id] = moves = tuple(
-            (node_id, rank, form)
+    for i, node_id in enumerate(node_ids):
+        moves = tuple(
+            (1 << i, rank, form)
             for rank, (form, _count) in enumerate(lexicon.candidates_for(tree.nodes[node_id])))
+        moves_of.append(moves)
         for move in moves:
             moves_by_form[move[2]].append(move)
-    # state key -> (the forms scored, the nodes whose forms are all scored,
-    # (-delta, the form's moves) per scored form, sorted), this sentence
-    tables: dict[Hashable, tuple[set[str], set[int], list]] = {}
+    state_key, score_next = scorer.state_key, scorer.score_next
+    # state key -> [the forms scored, the bit set of nodes with a form not yet
+    # scored, (-delta, the form's moves) per scored form, sorted], this sentence
+    tables: dict[Hashable, list] = {}
 
-    beam = [(0.0, (), frozenset(node_ids), ())]  # (score, forms, remaining, node order)
+    def _unused(nodes: int):
+        """The (node id, moves) of each node in ``nodes``, in ascending id."""
+        while nodes:
+            i = (nodes & -nodes).bit_length() - 1
+            nodes &= nodes - 1
+            yield node_ids[i], moves_of[i]
+
+    all_nodes = (1 << n) - 1
+    beam = [(0.0, (), all_nodes, ())]  # (score, forms, unused nodes, node order)
     slots = [1]
     for _step in range(n):
         streams = []  # per parent, its candidates not yet in the merge
         for parent_index, (base, forms, remaining, _node_order) in enumerate(beam):
-            key = scorer.state_key(forms)
+            key = state_key(forms)
             if key is None:  # a group per candidate
-                ranked = sorted([(-scorer.score_next(forms, move[2], unused), (move,))
-                                 for unused in sorted(remaining) for move in moves_of[unused]])
+                ranked = sorted([(-score_next(forms, move[2], node_id), (move,))
+                                 for node_id, moves in _unused(remaining) for move in moves])
             else:
                 table = tables.get(key)
                 if table is None:
-                    table = tables[key] = (set(), set(), [])
-                scored, covered, ranked = table
-                if not covered.issuperset(remaining):
-                    for unused in sorted(remaining - covered):
-                        for _node_id, _rank, form in moves_of[unused]:
+                    table = tables[key] = [set(), all_nodes, []]
+                scored, uncovered, ranked = table
+                missing = remaining & uncovered
+                if missing:
+                    for node_id, moves in _unused(missing):
+                        for _bit, _rank, form in moves:
                             if form not in scored:
                                 scored.add(form)
-                                ranked.append((-scorer.score_next(forms, form, unused),
+                                ranked.append((-score_next(forms, form, node_id),
                                                moves_by_form[form]))
-                    covered.update(remaining)
+                    table[1] = uncovered ^ missing
                     ranked.sort()
             streams.append(_ranked_candidates(ranked, base, parent_index, remaining))
         # streams start only now, so each reads its key's table as this step left it
@@ -280,28 +293,25 @@ def beam_realize(
         # union-find over the taken slots: taken[s] chases the lowest free slot >= s,
         # and a free slot above beam_size means "prune"
         taken: dict[int, int] = {}
-
-        def _free_slot(slot: int) -> int:
-            root = slot
-            while root in taken:
-                root = taken[root]
-            while slot != root:
-                taken[slot], slot = root, taken[slot]
-            return root
-
         parents, parent_slots = beam, slots
         beam, slots = [], []
         while heads:
-            neg_score, parent_index, node_id, _rank, form = heads[0]
-            slot = _free_slot(parent_slots[parent_index])
-            if slot > beam_size:
-                # slots only fill, so none will free up for this parent's later candidates
-                heappop(heads)
-                continue
+            neg_score, parent_index, bit, _rank, form = heads[0]
+            slot = parent_slots[parent_index]
+            if slot in taken:
+                root = taken[slot]
+                while root in taken:
+                    root = taken[root]
+                while slot != root:
+                    taken[slot], slot = root, taken[slot]
+                if slot > beam_size:
+                    # slots only fill, so none will free up for this parent's later candidates
+                    heappop(heads)
+                    continue
             taken[slot] = slot + 1
             _base, forms, remaining, node_order = parents[parent_index]
-            beam.append((-neg_score, forms + (form,), remaining - {node_id},
-                         node_order + (node_id,)))
+            beam.append((-neg_score, forms + (form,), remaining ^ bit,
+                         node_order + (node_ids[bit.bit_length() - 1],)))
             slots.append(slot)
             if len(beam) == beam_size:
                 break  # every slot is taken: the rest would overflow

@@ -4,14 +4,15 @@ Usage, from the repository root, with the standard library only:
 
     python3 tests/check_runtime_digests.py
 
-For each benchmark workload the script writes the seed-1 inputs with
-``perfbench/workloads.build_inputs``, runs the workload's six steps at
-``--jobs 1`` through ``surfreal.cli.main`` in a temporary directory, and
-compares the sha256 of every output file with the prefix recorded in
-``perfbench/reference.json``, which it only reads.  Outputs do not depend
-on ``--jobs`` and only the manifests record it, so a manifest is hashed as
-``sr`` writes it with the workload's own ``--jobs``.  Exits 1 on any
-difference.  The name keeps pytest from collecting it.
+For each benchmark workload and each of the seeds 1 and 27 (27 lies
+outside the seeds 1-10 that speedups are measured on) the script writes
+the inputs with ``perfbench/workloads.build_inputs``, runs the workload's
+six steps at ``--jobs 1`` through ``surfreal.cli.main`` in a temporary
+directory, and compares the sha256 of every output file with the prefix
+recorded in ``perfbench/reference.json``, which it only reads.  Outputs do
+not depend on ``--jobs`` and only the manifests record it, so a manifest is
+hashed as ``sr`` writes it with the workload's own ``--jobs``.  Exits 1 on
+any difference.  The name keeps pytest from collecting it.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from run import REFERENCE, input_digest, mismatched  # noqa: E402
 from surfreal.cli import main as sr  # noqa: E402
 from workloads import WORKLOADS, build_inputs, sha256_file  # noqa: E402
 
-SEED = 1
+SEEDS = (1, 27)
 
 
 def output_digest(path: Path, jobs: int) -> str:
@@ -43,14 +44,14 @@ def output_digest(path: Path, jobs: int) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def check(workload, table: dict) -> list[str]:
-    """What differs from the recorded seed-1 digests of one workload."""
-    entry = table["seeds"][str(SEED)]
+def check(workload, table: dict, seed: int) -> list[str]:
+    """What differs from the recorded digests of one workload and seed."""
+    entry = table["seeds"][str(seed)]
     problems = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        inputs = build_inputs(workload, SEED, work)
+        inputs = build_inputs(workload, seed, work)
         if input_digest(inputs) != entry["inputs"]:
             problems.append("inputs differ from those the digests were recorded for")
         staged = {p.name for p in inputs.files()}
@@ -74,10 +75,11 @@ def main() -> int:
     tables = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]
     failed = False
     for name, workload in WORKLOADS.items():
-        problems = check(workload, tables[name])
-        failed |= bool(problems)
-        print(f"{name}: {'; '.join(problems) or 'all outputs match'} "
-              f"(Python {sys.version.split()[0]})")
+        for seed in SEEDS:
+            problems = check(workload, tables[name], seed)
+            failed |= bool(problems)
+            print(f"{name} seed {seed}: {'; '.join(problems) or 'all outputs match'} "
+                  f"(Python {sys.version.split()[0]})")
     return int(failed)
 
 

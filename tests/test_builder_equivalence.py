@@ -9,11 +9,13 @@ nodes positionally.  The ``before_*`` functions are the code as it was
 before rows were read by index and built with ``tuple.__new__``,
 ``misc_get`` stopped building a pair list, ``iter_blocks`` tested blank
 lines with ``str.isspace`` and ``NGramModel.load`` reused the parse of the
-previous line's order and context.  On generated inputs each
-rewritten function must return an equal result, or raise the same error
-with the same message.
+previous line's order and context; ``before_context_key`` and
+``before_p`` are ``NGramModel``'s queries as they were before it cached
+rows per context.  On generated inputs each rewritten function must
+return an equal result, or raise the same error with the same message.
 """
 
+import math
 import random
 import tempfile
 from collections import Counter
@@ -331,6 +333,25 @@ def before_load(path):
         raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
 
+def before_context_key(self, history):
+    """Last order-1 history tokens, left-padded with begin markers."""
+    need = self.order - 1
+    hist = tuple(history[-need:]) if need else ()  # history[-0:] is all of it
+    return (BOS,) * (need - len(hist)) + hist
+
+
+def before_p(self, token, ctx):
+    """P_order(token | ctx), built up from the uniform base one order at a time."""
+    p = self._base
+    for k in range(1, self.order + 1):
+        k_ctx = ctx[self.order - k:]  # the last k-1 context tokens
+        total = self.totals.get(k, {}).get(k_ctx, 0)
+        if total:  # else nothing was observed after k_ctx: defer entirely to order k-1
+            ml = self.counts[k][k_ctx][token] / total
+            p = self.lam * ml + (1.0 - self.lam) * p
+    return p
+
+
 def outcome(call):
     """A call's result, or its error's type and message."""
     try:
@@ -627,3 +648,38 @@ def test_ngram_load_matches_before(text):
                 expected = (DataError, f"{path} is not a valid n-gram count file: "
                                        f"no order-{missing[0]} counts in an order-{order} model")
         assert outcome(lambda: loaded(NGramModel.load)) == expected
+
+
+LM_TOKENS = ["a", "b", "c", "d"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(LM_TOKENS), min_size=1, max_size=6),
+                min_size=1, max_size=6),
+       st.integers(1, 5) | st.just(200),
+       st.floats(0.01, 0.99),
+       st.data())
+def test_ngram_queries_match_before(corpus, order, lam, data):
+    """prob and logprob bit for bit, and one memo entry per distinct (token, context),
+    on histories shorter and longer than order-1 that hold unseen tokens and contexts."""
+    model = train_ngram(corpus, order=order, lam=lam)
+    queried = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        token = data.draw(st.sampled_from(LM_TOKENS + ["zz"]))
+        length = data.draw(st.sampled_from([0, order - 2, order - 1, order, order + 3])
+                           | st.integers(0, order + 3))
+        words = data.draw(st.lists(st.sampled_from(LM_TOKENS + ["zz"]), min_size=1, max_size=8))
+        history = [words[i % len(words)] for i in range(max(length, 0))]
+        if data.draw(st.booleans()):
+            history = tuple(history)
+        ctx = before_context_key(model, history)
+        want = before_p(model, token if token in model.vocab else UNK, ctx)
+        assert model.context_key(history) == ctx
+        assert model.prob(token, history) == want
+        if want:
+            assert model.logprob(token, history) == math.log(want)
+            queried.add((token, ctx))
+        else:  # a deep order and a lambda near 1 underflow to 0.0, whose log raises
+            with pytest.raises(ValueError, match="math domain error"):
+                model.logprob(token, history)
+        assert len(model._memo) == len(queried)

@@ -460,6 +460,20 @@ def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):
                  "--out", str(tmp_path / "pairs")]) == 0
 
 
+def test_synth_that_keeps_nothing_is_a_data_error(tmp_path, capsys):
+    """An empty synthetic set would only fail at the next step (`sr pairs`)."""
+    parsed = tmp_path / "parsed.conllu"
+    parsed.write_text(serialize_conllu(ToyLang(seed=3).corpus(3)), encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--in", str(parsed), "--vocab-from", str(parsed),
+                 "--min-len", "1000", "--max-len", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input_count=3\nkept_count=0\nrejected_by_length=3\n" in err
+    assert f"sr: data error: no sentence of {parsed} passed the filters" in err
+    assert not (out / "synth.conllu").exists()
+    assert not out.exists()
+
+
 def _env_with_src(**extra: str) -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, **extra,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfreal.deptree import ShallowSentence, build_tree
+from surfreal.deptree import ShallowSentence, _tree, build_tree
 from surfreal.ngram import BOS, train_ngram
 from surfreal.realizer import (
     FormLexicon,
@@ -183,14 +183,21 @@ def first_calls(calls, state_key):
 @st.composite
 def instances(draw, min_nodes=1, max_nodes=5, forms=FORMS):
     """A random tree of min_nodes-max_nodes nodes with 1-3 candidate forms
-    per node, drawn from ``forms``."""
+    per node, drawn from ``forms``.  Its node ids are 1..n, or distinct ids
+    up to 1000 in any order, so the beam's mapping from node id to bit is
+    exercised on ids that are neither dense nor small."""
     n = draw(st.integers(min_nodes, max_nodes))
     ids = draw(st.permutations(range(1, n + 1)))
     heads = {ids[0]: 0}
     for k in range(1, n):
         heads[ids[k]] = ids[draw(st.integers(0, k - 1))]
     tokens = [tok(i, "_", f"l{i}", "X", "_", heads[i], "dep") for i in range(1, n + 1)]
-    sentence = ShallowSentence(tree=build_tree(UdSentence(tokens=tokens)))
+    if draw(st.booleans()):
+        tree = build_tree(UdSentence(tokens=tokens))
+    else:  # token i becomes node sparse[i - 1]
+        sparse = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
+        tree = _tree(tokens, [0, *sparse])
+    sentence = ShallowSentence(tree=tree)
     by_lemma = {}
     for i in range(1, n + 1):
         node_forms = draw(st.lists(st.sampled_from(forms), min_size=1, max_size=3, unique=True))
