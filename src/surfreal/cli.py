@@ -10,11 +10,18 @@
 Every command writes a JSON run manifest (config, seed, input and output
 digests, no timestamps) so identical invocations produce byte-identical
 artifacts.  Exit codes: 0 success, 1 usage error, 2 data error.
+
+``main`` runs the command with the cyclic garbage collector off and puts
+back the caller's setting on every way out, without a collection: the data
+path forms no reference cycles (``tests/test_gc.py`` checks that the
+garbage a command leaves does not grow with its input), so a pass would
+only walk the command's live data.  Library calls keep their own setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -360,6 +367,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return 0 if not exit_.code else 1
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (DataError, OSError) as err:
@@ -368,6 +377,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"sr: usage error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

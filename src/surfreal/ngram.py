@@ -4,7 +4,9 @@ Jelinek-Mercer interpolation: P_k = lam * ML_k + (1 - lam) * P_{k-1},
 grounded in a uniform distribution over the vocabulary plus a reserved
 unknown token.  A context never observed at order k contributes no
 maximum-likelihood mass, so the query passes through to order k-1
-unweighted; this keeps every conditional distribution normalized.
+unweighted; this keeps every conditional distribution normalized.  A
+deep order with a lambda near 1 can underflow a probability to 0.0,
+which has no log: ``logprob`` raises DataError for it.
 
 Queries are cached twice: ``logprob`` memoizes each (token, context)
 score, and each full context keeps its rows, the (counts, total) of
@@ -97,8 +99,12 @@ class NGramModel:
         if cached is None:
             if len(self._memo) >= _MEMO_MAX:
                 self._memo.clear()
-            cached = math.log(self._p(token if token in self.vocab else UNK, ctx))
-            self._memo[key] = cached
+            p = self._p(token if token in self.vocab else UNK, ctx)
+            if not p:  # (1 - lam)^k times the base, for a deep order or a lambda near 1
+                raise DataError(f"P({token!r} | {' '.join(ctx)!r}) underflows to 0.0 in the "
+                                f"order-{self.order} model with lambda {self.lam!r}, so it has "
+                                "no log probability")
+            cached = self._memo[key] = math.log(p)
         return cached
 
     def __getstate__(self):

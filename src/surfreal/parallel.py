@@ -8,9 +8,12 @@ there are at least two items per job.  Then all of the input goes out
 at once, in chunks of ``ceil(n / (CHUNKS_PER_JOB * jobs))`` items: small
 chunks keep the workers evenly loaded when item costs differ.  ``fn``
 (for realize, a ``functools.partial`` holding a model and lexicon)
-reaches each worker once, through the pool initializer.  An exception
-in a worker cancels the chunks not yet started and is raised to the
-caller.
+reaches each worker once, through the pool initializer, together with
+the caller's cyclic garbage collector setting (``gc.isenabled()``), which
+each worker takes on.  So forked, spawned and forkserver workers alike run
+with the collector off under ``sr``, which pauses it (see ``cli``).  An
+exception in a worker cancels the chunks not yet started and is raised
+to the caller.
 
 The pool modules (``concurrent.futures.process`` and ``multiprocessing``)
 are imported only when workers start, so importing surfreal, a
@@ -19,6 +22,7 @@ are imported only when workers start, so importing surfreal, a
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 from typing import Callable, Sequence, TypeVar
@@ -31,9 +35,13 @@ CHUNKS_PER_JOB = 8
 _worker_fn: Callable | None = None
 
 
-def _init_worker(fn: Callable) -> None:
+def _init_worker(fn: Callable, gc_enabled: bool) -> None:
     global _worker_fn
     _worker_fn = fn
+    if gc_enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def _call(item):
@@ -46,7 +54,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
         return list(map(fn, items))
     from concurrent.futures import ProcessPoolExecutor  # not at module level: see above
 
-    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(fn,))
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                               initargs=(fn, gc.isenabled()))
     try:
         chunksize = math.ceil(len(items) / (CHUNKS_PER_JOB * jobs))
         return list(pool.map(_call, items, chunksize=chunksize))

@@ -9,10 +9,13 @@ outside the seeds 1-10 that speedups are measured on) the script writes
 the inputs with ``perfbench/workloads.build_inputs``, runs the workload's
 six steps at ``--jobs 1`` through ``surfreal.cli.main`` in a temporary
 directory, and compares the sha256 of every output file with the prefix
-recorded in ``perfbench/reference.json``, which it only reads.  Outputs do
-not depend on ``--jobs`` and only the manifests record it, so a manifest is
-hashed as ``sr`` writes it with the workload's own ``--jobs``.  Exits 1 on
-any difference.  The name keeps pytest from collecting it.
+recorded in ``perfbench/reference.json``, which it only reads.  A workload
+whose own ``--jobs`` is above 1 (walkthrough, at 2) runs a second time at
+that count, so realize's worker processes, which take on the collector
+setting ``sr`` runs with, are checked too.  Outputs do not depend on
+``--jobs`` and only the manifests record it, so a manifest is hashed as
+``sr`` writes it with the workload's own ``--jobs``.  Exits 1 on any
+difference.  The name keeps pytest from collecting it.
 """
 
 import hashlib
@@ -44,8 +47,8 @@ def output_digest(path: Path, jobs: int) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def check(workload, table: dict, seed: int) -> list[str]:
-    """What differs from the recorded digests of one workload and seed."""
+def check(workload, table: dict, seed: int, jobs: int) -> list[str]:
+    """What differs from the recorded digests of one workload and seed at ``--jobs``."""
     entry = table["seeds"][str(seed)]
     problems = []
     cwd = os.getcwd()
@@ -57,7 +60,7 @@ def check(workload, table: dict, seed: int) -> list[str]:
         staged = {p.name for p in inputs.files()}
         os.chdir(work)
         try:
-            for name, argv in workload.steps(jobs=1):
+            for name, argv in workload.steps(jobs=jobs):
                 log = io.StringIO()
                 with redirect_stdout(log), redirect_stderr(log):
                     code = sr(argv)
@@ -76,10 +79,12 @@ def main() -> int:
     failed = False
     for name, workload in WORKLOADS.items():
         for seed in SEEDS:
-            problems = check(workload, tables[name], seed)
-            failed |= bool(problems)
-            print(f"{name} seed {seed}: {'; '.join(problems) or 'all outputs match'} "
-                  f"(Python {sys.version.split()[0]})")
+            for jobs in sorted({1, workload.jobs}):
+                problems = check(workload, tables[name], seed, jobs)
+                failed |= bool(problems)
+                print(f"{name} seed {seed} --jobs {jobs}: "
+                      f"{'; '.join(problems) or 'all outputs match'} "
+                      f"(Python {sys.version.split()[0]})")
     return int(failed)
 
 

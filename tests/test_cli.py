@@ -474,6 +474,25 @@ def test_synth_that_keeps_nothing_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_realize_whose_scores_underflow_is_a_data_error(tmp_path, capsys):
+    """At order 120 and lambda 0.999 a first word never seen after the begin
+    markers scores (1 - lam)^119 times the base, which underflows to 0.0."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_conllu(ToyLang(seed=5).corpus(5)), encoding="utf-8")
+    assert main(["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds")]) == 0
+    assert main(["train-lm", "--refs", str(tmp_path / "ds" / "refs.txt"),
+                 "--out", str(tmp_path / "lm.ngrams"), "--order", "120",
+                 "--lambda", "0.999"]) == 0
+    capsys.readouterr()
+    assert main(["realize", "--in", str(tmp_path / "ds" / "shallow.stripped.conllu"),
+                 "--lm", str(tmp_path / "lm.ngrams"), "--lexicon", str(gold),
+                 "--out", str(tmp_path / "hyp.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sr: data error: P(")
+    assert "underflows to 0.0 in the order-120 model with lambda 0.999" in err
+    assert not (tmp_path / "hyp.txt").exists()
+
+
 def _env_with_src(**extra: str) -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, **extra,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from surfreal import ngram
+from surfreal.conllu_io import DataError
 from surfreal.ngram import BOS, UNK, NGramModel, train_ngram
 
 
@@ -92,6 +93,19 @@ def test_unseen_context_defers_to_shorter_context():
 def test_orders_above_the_recursion_limit_can_be_queried():
     model = train_ngram([["a", "b"]], order=1100)
     assert math.isfinite(model.logprob("b", ["a"]))
+
+
+def test_probability_that_underflows_is_a_data_error():
+    """(1 - lam)^119 times the base underflows to 0.0, whose log does not exist."""
+    model = train_ngram([["a", "b"]], order=120, lam=0.999)
+    assert model.prob("b", []) == 0.0
+    with pytest.raises(DataError) as err:
+        model.logprob("b", [])
+    context = " ".join([BOS] * 119)
+    assert str(err.value) == (f"P('b' | {context!r}) underflows to 0.0 in the order-120 "
+                              "model with lambda 0.999, so it has no log probability")
+    assert model._memo == {}
+    assert math.isfinite(model.logprob("a", []))  # seen after the begin markers
 
 
 def test_empty_history_uses_begin_markers():

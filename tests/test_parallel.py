@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import multiprocessing
 import os
 import time
@@ -17,6 +18,10 @@ def _affine(x: int, scale: int, offset: int) -> tuple[int, int]:
 
 def _pid(_item) -> int:
     return os.getpid()
+
+
+def _pid_and_collector(_item) -> tuple[int, bool]:
+    return os.getpid(), gc.isenabled()
 
 
 def _touch_or_fail(x: int, folder: Path, bad: int) -> int:
@@ -63,6 +68,25 @@ def test_workers_start_at_two_items_per_job(jobs, monkeypatch):
     assert set(below) == {os.getpid()}
     at = parallel_map(_pid, range(2 * jobs), jobs)
     assert os.getpid() not in at
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_workers_take_on_the_callers_collector_setting(enabled, monkeypatch):
+    """Spawned workers start with the collector on, like any fresh interpreter
+    (and so do forkserver ones); each takes on the caller's setting, as a forked
+    one inherits it."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so jobs is not clamped
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        partial(concurrent.futures.ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context("spawn")))
+    caller = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        reports = parallel_map(_pid_and_collector, range(8), 2)
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert os.getpid() not in {pid for pid, _ in reports}
+    assert {state for _, state in reports} == {enabled}
 
 
 class RecordingExecutor:
