@@ -36,7 +36,7 @@ from .deptree import (
     shallow_transform,
     strip_alignment,
     strip_alignment_text,
-    unwritable_form,
+    unwritable_word,
 )
 from .evalsuite import evaluate
 from .linearizer import emit_training_pairs, write_pair_files
@@ -118,12 +118,29 @@ def _read_gold(path: Path, strict: bool = True) -> list[UdSentence]:
     if not sentences:
         raise DataError(f"no sentences in {path}")
     for number, sentence in enumerate(sentences, 1):
-        token = unwritable_form(sentence)
-        if token is not None:
+        index = unwritable_word(sentence.forms())
+        if index is not None:
+            token = sentence.tokens[index]
             raise DataError(f"{path}: sentence {number}, token {token.id}: form "
                             f"{token.form!r} is empty or holds whitespace, which a "
                             "space-separated token line cannot carry")
     return sentences
+
+
+def _check_lemmas(path: Path, sentences: list[UdSentence]) -> None:
+    """DataError for the first node whose lemma a linearized source or a
+    realized sentence, both space-separated token lines, cannot carry."""
+    # one check over the distinct lemmas; the sentence loop only runs to name
+    # the first bad one
+    if unwritable_word(list({t.lemma for sentence in sentences for t in sentence.tokens})) is None:
+        return
+    for number, sentence in enumerate(sentences, 1):
+        index = unwritable_word([t.lemma for t in sentence.tokens])
+        if index is not None:
+            token = sentence.tokens[index]
+            raise DataError(f"{path}: sentence {number}, node {token.id}: lemma "
+                            f"{token.lemma!r} is empty or holds whitespace, which a "
+                            "space-separated token line cannot carry")
 
 
 def _out_file(name: str) -> Path:
@@ -138,6 +155,7 @@ def _out_file(name: str) -> Path:
 
 def cmd_make_dataset(args) -> int:
     sentences = _read_gold(args.in_path, strict=not args.lenient)
+    _check_lemmas(args.in_path, sentences)
     dataset = [shallow_transform(s, args.seed + i) for i, s in enumerate(sentences)]
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "shallow")
@@ -178,6 +196,7 @@ def _load_shallow_dataset(conllu_path: Path, refs_path: Path | None) -> list[Sha
     sentences = parse_conllu(_read_text(conllu_path))
     if not sentences:
         raise DataError(f"no sentences in {conllu_path}")
+    _check_lemmas(conllu_path, sentences)
     refs = _read_ref_lines(refs_path) if refs_path else None
     if refs is not None and len(refs) != len(sentences):
         raise DataError(

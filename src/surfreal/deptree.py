@@ -120,13 +120,13 @@ def shallow_transform(sentence: UdSentence, seed: int) -> ShallowSentence:
     )
 
 
-def unwritable_form(sentence: UdSentence) -> UdToken | None:
-    """The first token whose form a space-separated reference line cannot
-    carry (an empty form, or one holding whitespace), else None."""
-    forms = sentence.forms()
-    if " ".join(forms).split() == forms:
+def unwritable_word(words: list[str]) -> int | None:
+    """The index of the first word (a form, a lemma) that a space-separated
+    token line cannot carry: an empty word, or one holding whitespace.  None
+    if there is none."""
+    if " ".join(words).split() == words:  # one C-level pass; the loop names the word
         return None
-    return next(t for t in sentence.tokens if t.form.split() != [t.form])
+    return next(i for i, word in enumerate(words) if word.split() != [word])
 
 
 def strip_alignment(shallow: ShallowSentence) -> ShallowSentence:

@@ -39,14 +39,15 @@ def escape_token(token: str) -> str:
 class LinearSeq:
     """A linearized tree: ``tokens`` is the flat sequence, ``node_of``
     maps positions of lemma tokens back to tree node ids (markers and
-    form-list tokens have no entry)."""
+    form-list tokens have no entry).  ``node_of``'s keys ascend in
+    insertion order, as :func:`linearize` inserts them."""
 
     tokens: list[str]
     node_of: dict[int, int] = field(default_factory=dict)
 
     def node_order(self) -> list[int]:
-        """Node ids in traversal order."""
-        return [self.node_of[p] for p in sorted(self.node_of)]
+        """Node ids in traversal order: ``node_of``'s values, as its keys ascend."""
+        return list(self.node_of.values())
 
     def text(self) -> str:
         return " ".join(self.tokens)
@@ -104,22 +105,17 @@ def append_form_list(
     if segments is None:
         segments = {}
     nodes = tree.nodes
-    tokens = None
+    form_list = [FORMS_SEP]
     for node_id in seq.node_order():
         key = nodes[node_id][:2]  # (lemma, upos)
         segment = segments.get(key)
         if segment is None:
             segment = segments[key] = _form_list_segment(
                 key[0], lexicon.relevant_forms(*key))
-        if not segment:
-            continue
-        if tokens is None:
-            tokens = list(seq.tokens)
-            tokens.append(FORMS_SEP)
-        tokens.extend(segment)
-    if tokens is None:
+        form_list += segment
+    if len(form_list) == 1:  # no relevant node
         return seq
-    return LinearSeq(tokens=tokens, node_of=dict(seq.node_of))
+    return LinearSeq(tokens=seq.tokens + form_list, node_of=dict(seq.node_of))
 
 
 def _form_list_segment(lemma: str, forms: tuple[tuple[str, int], ...]) -> tuple[str, ...]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, compress, islice
 
 from .conllu_io import DataError
 
@@ -200,36 +201,57 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
     is used.  A token that is empty, holds whitespace or is a reserved
     marker raises DataError naming its 1-based sentence number (its line
     in a reference file); a corpus without any token raises DataError too.
+
+    The corpus is laid out once as one token stream, each sentence after its
+    order-1 begin markers: one pointer per token and marker.  Every window of
+    ``order`` stream tokens that ends at a real token is counted in one C-level
+    pass over ``order`` staggered ``islice`` views of the stream, which copy
+    nothing; windows that end at a begin marker are passed over, not stored.
+    A k-gram is the last k tokens of the window that ends where it ends, so
+    each lower order's counts are summed from the distinct (k+1)-grams, one
+    Python step each, not counted in another pass over the corpus.  Each
+    order's flat table is emptied as it moves into the by-context table, so
+    besides the stream and the model, training holds at most two flat tables,
+    the one being moved and the sums for the order below, each with at most
+    one entry per real token.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < lam < 1:
         raise ValueError("lambda must be strictly between 0 and 1")
-    for number, sent in enumerate(references, 1):
-        # one C-level pass each; the token loop only runs to name the bad token
-        if BOS in sent or UNK in sent or " ".join(sent).split() != list(sent):
+    vocab = set(chain.from_iterable(references))
+    # C-level passes over the corpus and its types; the sentence loop only runs
+    # to name the first sentence with a bad token
+    if BOS in vocab or UNK in vocab or " ".join(vocab).split() != list(vocab):
+        for number, sent in enumerate(references, 1):
             _check_tokens(number, sent)
-    pad = (BOS,) * (order - 1)
-    counts: dict[int, dict[tuple, Counter]] = {}
-    for k in range(1, order + 1):
-        # k-grams ending at real tokens, counted flat, then moved into the
-        # by-context table, so no second full table outlives the move
-        grams: Counter = Counter()
-        for sent in references:
-            # the k shifted copies of the padded sentence, each cut to the sentence's length
-            seq, length = pad + tuple(sent), len(sent)
-            grams.update(zip(*(seq[start:start + length] for start in range(order - k, order))))
-        by_ctx = counts[k] = {}
+    if not vocab:
+        raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
+    pad = [BOS] * (order - 1)
+    stream: list[str] = []
+    for sent in references:
+        stream += pad
+        stream += sent
+    windows = zip(*(islice(stream, start, None) for start in range(order)))
+    ends_real = map(BOS.__ne__, islice(stream, order - 1, None))  # each window's last token
+    grams = Counter(compress(windows, ends_real))
+    counts: dict[int, dict[tuple, Counter]] = {k: {} for k in range(1, order + 1)}
+    for k in range(order, 0, -1):
+        by_ctx = counts[k]
+        shorter: dict[tuple, int] = {}  # the (k-1)-gram counts
         while grams:
             gram, n = grams.popitem()
+            token = gram[-1]
             ctx = gram[:-1]
             ctx_counts = by_ctx.get(ctx)
             if ctx_counts is None:
                 ctx_counts = by_ctx[ctx] = Counter()
-            ctx_counts[gram[-1]] = n
-    if not counts[1]:
-        raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
-    return NGramModel(order=order, lam=lam, counts=counts, vocab=set(counts[1][()]))
+            ctx_counts[token] = n
+            if k > 1:
+                gram = gram[1:]
+                shorter[gram] = shorter.get(gram, 0) + n
+        grams = shorter
+    return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)
 
 
 def _check_tokens(number: int, sent: list[str]) -> None:

@@ -1,8 +1,8 @@
 """Synthetic shallow-task data from parsed unlabeled corpora.
 
 A parsed corpus is read leniently (malformed blocks, and blocks with a
-form that a space-separated reference line cannot carry, are counted, not
-fatal), Unicode-normalized to NFC, filtered by sentence length and by
+form or lemma that a space-separated token line cannot carry, are counted,
+not fatal), Unicode-normalized to NFC, filtered by sentence length and by
 surface-vocabulary overlap against the original dataset, and the
 survivors are shallow-transformed with per-sentence derived seeds.
 Statistics reconcile exactly: every input block is kept or rejected for
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 from unicodedata import is_normalized, normalize
 
@@ -23,11 +24,13 @@ from .conllu_io import (
     iter_blocks,
     parse_block,
 )
-from .deptree import ShallowSentence, shallow_transform, unwritable_form
+from .deptree import ShallowSentence, shallow_transform, unwritable_word
 
 REASON_LENGTH = "length"
 REASON_OVERLAP = "overlap"
 REASON_MALFORMED = "malformed"
+
+_lemma = itemgetter(2)  # a UdToken's lemma
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,9 @@ def build_synthetic_dataset(
     dataset: list[ShallowSentence] = []
     reasons: Counter = Counter()
     input_count = 0
+    # forms and lemmas found writable so far: a block whose words all are in it
+    # skips unwritable_word's join/split, so each distinct word is checked about once
+    writable: set[str] = set()
     for block in iter_blocks(text):
         input_count += 1
         try:
@@ -132,8 +138,14 @@ def build_synthetic_dataset(
         except ConlluError:
             reasons[REASON_MALFORMED] += 1
             continue
-        reason = (REASON_MALFORMED if unwritable_form(sentence) is not None
-                  else filter_sentence(sentence.forms(), vocab, policy))
+        forms = sentence.forms()
+        lemmas = list(map(_lemma, sentence.tokens))
+        if not (writable.issuperset(forms) and writable.issuperset(lemmas)):
+            if unwritable_word(forms) is not None or unwritable_word(lemmas) is not None:
+                reasons[REASON_MALFORMED] += 1
+                continue
+            writable.update(forms, lemmas)
+        reason = filter_sentence(forms, vocab, policy)
         if reason is None:
             dataset.append(shallow_transform(sentence, rng_seed + len(dataset)))
         else:

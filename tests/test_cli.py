@@ -460,6 +460,73 @@ def test_synth_counts_forms_refs_cannot_carry_as_malformed(tmp_path):
                  "--out", str(tmp_path / "pairs")]) == 0
 
 
+TWO_NODES = ("1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+             "2\tcat\tcat\tNOUN\t_\t_\t0\troot\t_\t_\n\n")
+
+
+@pytest.mark.parametrize("lemma", ["cat x", "", "cat\u3000x"])
+def test_lemmas_token_lines_cannot_carry_are_data_errors(tmp_path, capsys, lemma):
+    """A lemma is one token of a linearized source, and the realized form of a
+    node the lexicon has never seen, so one with whitespace would split it."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(TWO_NODES * 2, encoding="utf-8")
+    assert main(["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds")]) == 0
+    bad_ds = tmp_path / "bad"
+    bad_ds.mkdir()
+    for name in ("shallow.conllu", "shallow.stripped.conllu", "refs.txt"):
+        text = (tmp_path / "ds" / name).read_text(encoding="utf-8")
+        if name != "refs.txt":  # the second sentence's cat gets the lemma
+            first, second = text.split("\n\n", 1)
+            node = next(line.split("\t")[0] for line in second.splitlines()
+                        if "\tcat\t" in line)
+            text = first + "\n\n" + second.replace("\tcat\t", f"\t{lemma}\t")
+        (bad_ds / name).write_text(text, encoding="utf-8")
+    message = (f"sentence 2, node {node}: lemma {lemma!r} is empty or holds whitespace, "
+               "which a space-separated token line cannot carry")
+    assert main(["train-lm", "--refs", str(bad_ds / "refs.txt"),
+                 "--out", str(tmp_path / "lm.ngrams")]) == 0
+    capsys.readouterr()
+    for command, flags in (
+        ("pairs", ["--in", str(bad_ds / "shallow.conllu"), "--refs", str(bad_ds / "refs.txt"),
+                   "--out", str(tmp_path / "pairs")]),
+        ("realize", ["--in", str(bad_ds / "shallow.stripped.conllu"),
+                     "--lm", str(tmp_path / "lm.ngrams"), "--lexicon", str(gold),
+                     "--out", str(tmp_path / "hyp.txt")]),
+    ):
+        assert main([command, *flags]) == 2, command
+        assert f"sr: data error: {flags[1]}: {message}" in capsys.readouterr().err, command
+    assert not (tmp_path / "pairs").exists()
+    assert not (tmp_path / "hyp.txt").exists()
+    bad_gold = tmp_path / "bad_gold.conllu"
+    bad_gold.write_text(TWO_NODES + TWO_NODES.replace("\tcat\tcat\t", f"\tcat\t{lemma}\t"),
+                        encoding="utf-8")
+    for lenient in ([], ["--lenient"]):
+        assert main(["make-dataset", "--in", str(bad_gold), "--out", str(tmp_path / "ds2"),
+                     *lenient]) == 2
+        assert (f"{bad_gold}: sentence 2, node 2: lemma {lemma!r} is empty or holds "
+                "whitespace" in capsys.readouterr().err)
+    assert not (tmp_path / "ds2").exists()
+
+
+def test_synth_counts_lemmas_token_lines_cannot_carry_as_malformed(tmp_path):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_conllu(ToyLang(seed=41).corpus(60, kind="mixed")),
+                    encoding="utf-8")
+    parsed = ToyLang(seed=42).corpus(30, kind="mixed")
+    for i, lemma in ((2, "New York"), (9, ""), (17, "a\x0bb")):
+        parsed[i].tokens[1] = parsed[i].tokens[1]._replace(lemma=lemma)
+    parsed_path = tmp_path / "parsed.conllu"
+    parsed_path.write_text(serialize_conllu(parsed), encoding="utf-8")
+    out = tmp_path / "synth"
+    assert main(["synth", "--in", str(parsed_path), "--vocab-from", str(gold),
+                 "--min-count", "1", "--min-len", "1", "--overlap", "0", "--out", str(out)]) == 0
+    stats = (out / "stats.txt").read_text(encoding="utf-8")
+    assert "input_count=30\nkept_count=27\n" in stats
+    assert "rejected_malformed=3\n" in stats
+    assert main(["pairs", "--in", str(out / "synth.conllu"), "--refs", str(out / "refs.txt"),
+                 "--out", str(tmp_path / "pairs")]) == 0
+
+
 def test_synth_that_keeps_nothing_is_a_data_error(tmp_path, capsys):
     """An empty synthetic set would only fail at the next step (`sr pairs`)."""
     parsed = tmp_path / "parsed.conllu"
