@@ -26,6 +26,8 @@ import hashlib
 import json
 import sys
 from functools import partial
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from .conllu_io import DataError, UdSentence, parse_conllu, serialize_conllu
@@ -111,36 +113,31 @@ def _write_shallow_outputs(out_dir: Path, dataset: list[ShallowSentence],
     return [aligned, stripped, refs]
 
 
-def _read_gold(path: Path, strict: bool = True) -> list[UdSentence]:
-    """Parse a gold treebank; DataError when it holds no sentence, or a form that
-    a space-separated token line (refs.txt, a hypothesis line) cannot carry."""
+def _read_conllu(path: Path, *words: str, strict: bool = True) -> list[UdSentence]:
+    """Parse a CoNLL-U file; DataError when it holds no sentence, or when a
+    named token field (``"form"``, ``"lemma"``) holds a word that a
+    space-separated token line (refs.txt, a linearized source, a realized
+    sentence) cannot carry.  Each field is checked over the whole input, in
+    the order named."""
     sentences = parse_conllu(_read_text(path), strict=strict)
     if not sentences:
         raise DataError(f"no sentences in {path}")
-    for number, sentence in enumerate(sentences, 1):
-        index = unwritable_word(sentence.forms())
-        if index is not None:
-            token = sentence.tokens[index]
-            raise DataError(f"{path}: sentence {number}, token {token.id}: form "
-                            f"{token.form!r} is empty or holds whitespace, which a "
-                            "space-separated token line cannot carry")
+    for word in words:
+        field = attrgetter(word)
+        # one check over the field's distinct words; the sentence loop only runs
+        # to name the first bad one
+        tokens = chain.from_iterable(sentence.tokens for sentence in sentences)
+        if unwritable_word(list(set(map(field, tokens)))) is None:
+            continue
+        for number, sentence in enumerate(sentences, 1):
+            index = unwritable_word(list(map(field, sentence.tokens)))
+            if index is not None:
+                token = sentence.tokens[index]
+                raise DataError(f"{path}: sentence {number}, "
+                                f"{'token' if word == 'form' else 'node'} {token.id}: {word} "
+                                f"{field(token)!r} is empty or holds whitespace, which a "
+                                "space-separated token line cannot carry")
     return sentences
-
-
-def _check_lemmas(path: Path, sentences: list[UdSentence]) -> None:
-    """DataError for the first node whose lemma a linearized source or a
-    realized sentence, both space-separated token lines, cannot carry."""
-    # one check over the distinct lemmas; the sentence loop only runs to name
-    # the first bad one
-    if unwritable_word(list({t.lemma for sentence in sentences for t in sentence.tokens})) is None:
-        return
-    for number, sentence in enumerate(sentences, 1):
-        index = unwritable_word([t.lemma for t in sentence.tokens])
-        if index is not None:
-            token = sentence.tokens[index]
-            raise DataError(f"{path}: sentence {number}, node {token.id}: lemma "
-                            f"{token.lemma!r} is empty or holds whitespace, which a "
-                            "space-separated token line cannot carry")
 
 
 def _out_file(name: str) -> Path:
@@ -154,8 +151,7 @@ def _out_file(name: str) -> Path:
 
 
 def cmd_make_dataset(args) -> int:
-    sentences = _read_gold(args.in_path, strict=not args.lenient)
-    _check_lemmas(args.in_path, sentences)
+    sentences = _read_conllu(args.in_path, "form", "lemma", strict=not args.lenient)
     dataset = [shallow_transform(s, args.seed + i) for i, s in enumerate(sentences)]
     out_dir = Path(args.out)
     outputs = _write_shallow_outputs(out_dir, dataset, "shallow")
@@ -169,7 +165,7 @@ def cmd_make_dataset(args) -> int:
 def cmd_synth(args) -> int:
     policy = FilterPolicy(min_len=args.min_len, max_len=args.max_len,
                           overlap_threshold=args.overlap)
-    gold = _read_gold(args.vocab_from)
+    gold = _read_conllu(args.vocab_from, "form")
     vocab = build_vocab((s.forms() for s in gold), args.min_count)
     dataset, stats = build_synthetic_dataset(
         _read_text(args.in_path), vocab, policy, args.seed, jobs=args.jobs)
@@ -193,10 +189,7 @@ def cmd_synth(args) -> int:
 
 
 def _load_shallow_dataset(conllu_path: Path, refs_path: Path | None) -> list[ShallowSentence]:
-    sentences = parse_conllu(_read_text(conllu_path))
-    if not sentences:
-        raise DataError(f"no sentences in {conllu_path}")
-    _check_lemmas(conllu_path, sentences)
+    sentences = _read_conllu(conllu_path, "lemma")
     refs = _read_ref_lines(refs_path) if refs_path else None
     if refs is not None and len(refs) != len(sentences):
         raise DataError(
@@ -225,7 +218,7 @@ def cmd_pairs(args) -> int:
     lexicon = None
     inputs = [args.in_path, args.refs]
     if args.lexicon is not None:
-        lexicon = build_form_lexicon(_read_gold(args.lexicon))
+        lexicon = build_form_lexicon(_read_conllu(args.lexicon, "form"))
         inputs.append(args.lexicon)
     pairs = emit_training_pairs(dataset, args.k, scoped=args.scoped, lexicon=lexicon,
                                 rng_seed=args.seed)
@@ -257,7 +250,7 @@ def cmd_train_lm(args) -> int:
 def cmd_realize(args) -> int:
     dataset = [strip_alignment(s) for s in _load_shallow_dataset(args.in_path, None)]
     model = NGramModel.load(args.lm)
-    lexicon = build_form_lexicon(_read_gold(args.lexicon))
+    lexicon = build_form_lexicon(_read_conllu(args.lexicon, "form"))
     realize = partial(beam_realize, scorer=NGramScorer(model), beam_size=args.beam,
                       lexicon=lexicon)
     realized = [result.tokens for result in parallel_map(realize, dataset, args.jobs)]
@@ -273,7 +266,7 @@ def cmd_realize(args) -> int:
 
 def cmd_eval(args) -> int:
     hyps = _read_ref_lines(args.hyp)
-    refs = _read_gold(args.ref)
+    refs = _read_conllu(args.ref, "form")
     mode = "detokenized" if args.detokenized else "tokenized"
     report = evaluate(hyps, refs, mode=mode)
     print(report.format_table(), end="")

@@ -25,6 +25,7 @@ from collections import Counter
 from itertools import chain, compress, islice
 
 from .conllu_io import DataError
+from .deptree import unwritable_word
 
 BOS = "<s>"
 UNK = "<unk>"
@@ -122,14 +123,16 @@ class NGramModel:
             for ctx in sorted(self.counts[k]):
                 for token in sorted(self.counts[k][ctx]):
                     lines.append(f"{k}\t{' '.join(ctx)}\t{token}\t{self.counts[k][ctx][token]}")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:  # LF on every platform
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "NGramModel":
         """Read a file written by :meth:`save`; malformed content raises DataError."""
         try:
-            with open(path, encoding="utf-8") as fh:
+            # only a line feed ends a line: a carriage return save never writes stays
+            # in the line, and the spelling checks reject it
+            with open(path, encoding="utf-8", newline="\n") as fh:
                 header = fh.readline().rstrip("\n").split("\t")
                 if len(header) != 4 or header[0] != _HEADER_TAG:
                     raise ValueError(f"no {_HEADER_TAG} header")
@@ -222,9 +225,14 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
     vocab = set(chain.from_iterable(references))
     # C-level passes over the corpus and its types; the sentence loop only runs
     # to name the first sentence with a bad token
-    if BOS in vocab or UNK in vocab or " ".join(vocab).split() != list(vocab):
+    if BOS in vocab or UNK in vocab or unwritable_word(list(vocab)) is not None:
         for number, sent in enumerate(references, 1):
-            _check_tokens(number, sent)
+            for token in sent:
+                if token in (BOS, UNK):
+                    raise DataError(f"sentence {number}: reserved token {token!r}")
+                if unwritable_word([token]) is not None:
+                    raise DataError(f"sentence {number}: token {token!r} is empty or "
+                                    "contains whitespace")
     if not vocab:
         raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
     pad = [BOS] * (order - 1)
@@ -253,12 +261,3 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         grams = shorter
     return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)
 
-
-def _check_tokens(number: int, sent: list[str]) -> None:
-    """Raise DataError for the first reserved, empty or whitespace-holding token."""
-    for token in sent:
-        if token in (BOS, UNK):
-            raise DataError(f"sentence {number}: reserved token {token!r}")
-        if token == "" or any(ch.isspace() for ch in token):
-            raise DataError(f"sentence {number}: token {token!r} is empty or "
-                            "contains whitespace")

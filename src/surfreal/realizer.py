@@ -41,56 +41,43 @@ def _rank_forms(counter: Counter) -> tuple[tuple[str, int], ...]:
 
 
 class FormLexicon:
-    """Observed surface forms per (lowercased lemma, upos, feature subset).
+    """Observed surface forms, ranked, in one table keyed by (lowercased
+    lemma, upos, feature subset), (lemma, upos) and (lemma,): the key's
+    length is its fallback tier, and no entry is empty.
 
     Lookup never fails: (lemma, upos, feats) falls back to (lemma, upos),
     then (lemma,), then to the lemma string itself with count 1.
     """
 
-    def __init__(self, full: dict, by_lemma_upos: dict, by_lemma: dict):
-        self.full = full
-        self.by_lemma_upos = by_lemma_upos
-        self.by_lemma = by_lemma
+    def __init__(self, ranked: dict[tuple, tuple[tuple[str, int], ...]]):
+        self.ranked = ranked
 
     def candidates(self, lemma: str, upos: str, feats: str) -> tuple[tuple[str, int], ...]:
-        key = (lemma.lower(), upos, feats_key(feats))
-        hit = self.full.get(key)
-        if hit is None:
-            hit = self.by_lemma_upos.get((lemma.lower(), upos))
-        if hit is None:
-            hit = self.by_lemma.get(lemma.lower())
-        if hit is None:
-            hit = ((lemma, 1),)
-        return hit
+        ranked, low = self.ranked, lemma.lower()
+        return (ranked.get((low, upos, feats_key(feats))) or ranked.get((low, upos))
+                or ranked.get((low,)) or ((lemma, 1),))
 
     def candidates_for(self, info: NodeInfo) -> tuple[tuple[str, int], ...]:
         return self.candidates(info.lemma, info.upos, info.feats)
 
     def relevant_forms(self, lemma: str, upos: str) -> tuple[tuple[str, int], ...]:
         """The (lemma, upos) pair's observed forms when it has at least two, else ()."""
-        hit = self.by_lemma_upos.get((lemma.lower(), upos), ())
+        hit = self.ranked.get((lemma.lower(), upos), ())
         return hit if len(hit) >= 2 else ()
 
 
 def build_form_lexicon(gold: list[UdSentence]) -> FormLexicon:
-    # count each distinct (lemma, upos, feats, form) row once, then fold the
-    # counts into the three tables (_rank_forms sorts, so order does not matter)
+    # count each distinct (lemma, upos, feats, form) row once, then add the
+    # counts under the row's three keys (_rank_forms sorts, so order does not matter)
     rows: Counter = Counter()
     for sentence in gold:
         rows.update(map(_LEXICON_ROW, sentence.tokens))
-    full: dict[tuple, Counter] = defaultdict(Counter)
-    by_lemma_upos: dict[tuple, Counter] = defaultdict(Counter)
-    by_lemma: dict[str, Counter] = defaultdict(Counter)
+    table: dict[tuple, Counter] = defaultdict(Counter)
     for (lemma, upos, feats, form), n in rows.items():
         lemma = lemma.lower()
-        full[lemma, upos, feats_key(feats)][form] += n
-        by_lemma_upos[lemma, upos][form] += n
-        by_lemma[lemma][form] += n
-    return FormLexicon(
-        full={k: _rank_forms(c) for k, c in full.items()},
-        by_lemma_upos={k: _rank_forms(c) for k, c in by_lemma_upos.items()},
-        by_lemma={k: _rank_forms(c) for k, c in by_lemma.items()},
-    )
+        for key in (lemma, upos, feats_key(feats)), (lemma, upos), (lemma,):
+            table[key][form] += n
+    return FormLexicon({key: _rank_forms(c) for key, c in table.items()})
 
 
 class Scorer(ABC):

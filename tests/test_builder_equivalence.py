@@ -58,7 +58,7 @@ from surfreal.linearizer import (
     linearize,
 )
 from surfreal.ngram import _HEADER_TAG, BOS, UNK, NGramModel, train_ngram
-from surfreal.realizer import FormLexicon, _rank_forms, build_form_lexicon, feats_key
+from surfreal.realizer import _rank_forms, build_form_lexicon, feats_key
 from treegen import heads, sentences
 
 # --- the earlier code, verbatim ------------------------------------------------
@@ -99,10 +99,10 @@ def reference_build_form_lexicon(gold):
             full.setdefault((lemma, t.upos, feats_key(t.feats)), Counter())[t.form] += 1
             by_lemma_upos.setdefault((lemma, t.upos), Counter())[t.form] += 1
             by_lemma.setdefault(lemma, Counter())[t.form] += 1
-    return FormLexicon(
-        full={k: _rank_forms(c) for k, c in full.items()},
-        by_lemma_upos={k: _rank_forms(c) for k, c in by_lemma_upos.items()},
-        by_lemma={k: _rank_forms(c) for k, c in by_lemma.items()},
+    return (
+        {k: _rank_forms(c) for k, c in full.items()},
+        {k: _rank_forms(c) for k, c in by_lemma_upos.items()},
+        {k: _rank_forms(c) for k, c in by_lemma.items()},
     )
 
 
@@ -406,13 +406,20 @@ def test_train_ngram_matches_reference_on_clean_corpora(corpus, order):
 
 
 def tables(lexicon):
-    return lexicon.full, lexicon.by_lemma_upos, lexicon.by_lemma
+    """The lexicon's one table split by key length into the reference's three:
+    (lemma, upos, feats), (lemma, upos) and lemma."""
+    ranked = lexicon.ranked
+    return ({key: forms for key, forms in ranked.items() if len(key) == 3},
+            {key: forms for key, forms in ranked.items() if len(key) == 2},
+            {key[0]: forms for key, forms in ranked.items() if len(key) == 1})
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(sentences(), max_size=4))
 def test_build_form_lexicon_matches_reference(gold):
-    assert tables(build_form_lexicon(gold)) == tables(reference_build_form_lexicon(gold))
+    lexicon = build_form_lexicon(gold)
+    assert tables(lexicon) == reference_build_form_lexicon(gold)
+    assert sum(map(len, tables(lexicon))) == len(lexicon.ranked)
 
 
 # --- linearization and form lists --------------------------------------------------

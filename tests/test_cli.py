@@ -332,14 +332,16 @@ def test_data_errors(tmp_path, capsys):
                  "--lm", str(negative_lm), "--lexicon", str(gold),
                  "--out", str(tmp_path / "h.txt")]) == 2
     assert "not a valid n-gram count file" in capsys.readouterr().err
-    # an order outside 1..3, or a context that does not hold order - 1 tokens
+    # an order outside 1..3, a context that does not hold order - 1 tokens, or the
+    # CRLF line endings save never writes
     lm_text = (tmp_path / "lm.ngrams").read_text(encoding="utf-8")
     bigram = next(line for line in lm_text.splitlines() if line.startswith("2\t<s>\t"))
     _order, ctx, token, count = bigram.split("\t")
-    for name, line in [("order", f"7\t{ctx}\t{token}\t{count}"),
-                       ("context", f"2\tx y z\t{token}\t{count}")]:
+    for name, text in [("order", lm_text.replace(bigram, f"7\t{ctx}\t{token}\t{count}", 1)),
+                       ("context", lm_text.replace(bigram, f"2\tx y z\t{token}\t{count}", 1)),
+                       ("crlf", lm_text.replace("\n", "\r\n"))]:
         bad_lm = tmp_path / f"bad_{name}.ngrams"
-        bad_lm.write_text(lm_text.replace(bigram, line, 1), encoding="utf-8")
+        bad_lm.write_bytes(text.encode("utf-8"))
         assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
                      "--lm", str(bad_lm), "--lexicon", str(gold),
                      "--out", str(tmp_path / "h.txt")]) == 2, name
@@ -506,6 +508,48 @@ def test_lemmas_token_lines_cannot_carry_are_data_errors(tmp_path, capsys, lemma
         assert (f"{bad_gold}: sentence 2, node 2: lemma {lemma!r} is empty or holds "
                 "whitespace" in capsys.readouterr().err)
     assert not (tmp_path / "ds2").exists()
+
+
+def test_reader_checks_forms_over_the_whole_input_before_lemmas(tmp_path, capsys):
+    """make-dataset checks every form before any lemma: a bad lemma in
+    sentence 2 and a bad form in sentence 3 name the form."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(TWO_NODES + TWO_NODES.replace("\tcat\tcat\t", "\tcat\tcat x\t")
+                    + TWO_NODES.replace("\tcat\tcat\t", "\tcat x\tcat\t"), encoding="utf-8")
+    assert main(["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds")]) == 2
+    assert (f"sr: data error: {gold}: sentence 3, token 2: form 'cat x' is empty or holds "
+            "whitespace" in capsys.readouterr().err)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_reader_names_the_first_sentence_with_a_bad_lemma(tmp_path, capsys):
+    """With bad lemmas in sentences 2 and 4, pairs --in and realize --in name
+    sentence 2."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(TWO_NODES * 4, encoding="utf-8")
+    assert main(["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds")]) == 0
+    assert main(["train-lm", "--refs", str(tmp_path / "ds" / "refs.txt"),
+                 "--out", str(tmp_path / "lm.ngrams")]) == 0
+    for name in ("shallow.conllu", "shallow.stripped.conllu"):
+        blocks = (tmp_path / "ds" / name).read_text(encoding="utf-8").split("\n\n")
+        nodes = [next(line.split("\t")[0] for line in block.splitlines() if "\tcat\t" in line)
+                 for block in blocks[:4]]
+        for i in (1, 3):
+            blocks[i] = blocks[i].replace("\tcat\t", "\tcat x\t")
+        (tmp_path / name).write_text("\n\n".join(blocks), encoding="utf-8")
+    capsys.readouterr()
+    for command, flags in (
+        ("pairs", ["--in", str(tmp_path / "shallow.conllu"),
+                   "--refs", str(tmp_path / "ds" / "refs.txt"), "--out", str(tmp_path / "pairs")]),
+        ("realize", ["--in", str(tmp_path / "shallow.stripped.conllu"),
+                     "--lm", str(tmp_path / "lm.ngrams"), "--lexicon", str(gold),
+                     "--out", str(tmp_path / "hyp.txt")]),
+    ):
+        assert main([command, *flags]) == 2, command
+        assert (f"sr: data error: {flags[1]}: sentence 2, node {nodes[1]}: lemma 'cat x' is "
+                "empty or holds whitespace" in capsys.readouterr().err), command
+    assert not (tmp_path / "pairs").exists()
+    assert not (tmp_path / "hyp.txt").exists()
 
 
 def test_synth_counts_lemmas_token_lines_cannot_carry_as_malformed(tmp_path):

@@ -1,6 +1,8 @@
 """Every data fault the library detects is a DataError (and so still a
 ValueError); a bad parameter value stays a plain ValueError."""
 
+import re
+
 import pytest
 
 from surfreal import ConlluError, DataError, NGramModel, bleu4, evaluate, train_ngram
@@ -27,6 +29,10 @@ def test_conllu_error_is_a_data_error():
     ([["a"], [UNK]], "sentence 2: reserved token '<unk>'"),
     ([["a"], ["b c"]], "sentence 2: token 'b c' is empty or contains whitespace"),
     ([["a"], ["b", ""]], "sentence 2: token '' is empty"),
+    # whitespace that is not ASCII: a file separator, an ideographic space
+    ([["a"], ["a\x1cb"]],
+     re.escape("sentence 2: token 'a\\x1cb' is empty or contains whitespace")),
+    ([["\u3000"]], re.escape("sentence 1: token '\\u3000' is empty or contains whitespace")),
 ])
 def test_training_data_faults(sentences, message):
     with pytest.raises(DataError, match=message):
@@ -82,6 +88,21 @@ def test_the_cat_sleeps_is_what_save_writes(tmp_path):
 ])
 def test_malformed_count_files(tmp_path, data):
     path = tmp_path / "bad.ngrams"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="not a valid n-gram count file"):
+        NGramModel.load(path)
+
+
+@pytest.mark.parametrize("data", [
+    THE_CAT_SLEEPS.replace(b"\n", b"\r\n"),
+    THE_CAT_SLEEPS.replace(b"\n", b"\r"),
+    THE_CAT_SLEEPS.replace(b"\n", b"\r\n", 1),
+    THE_CAT_SLEEPS.replace(b"\tcat\t1\n", b"\tcat\t1\r\n", 1),
+], ids=["crlf", "cr-only", "crlf-header-line", "crlf-count-line"])
+def test_count_files_with_carriage_returns(tmp_path, data):
+    """save ends each line with a line feed only, so a carriage return is not
+    what save writes."""
+    path = tmp_path / "crlf.ngrams"
     path.write_bytes(data)
     with pytest.raises(DataError, match="not a valid n-gram count file"):
         NGramModel.load(path)

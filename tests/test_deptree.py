@@ -12,6 +12,7 @@ from surfreal.deptree import (
     shallow_transform,
     strip_alignment,
     strip_alignment_text,
+    unwritable_word,
 )
 from toylang import ToyLang, tok
 from treegen import sentences
@@ -191,3 +192,20 @@ def test_reshuffling_destroys_order_exactly_once(toy):
         return sorted(shape(tree, kid) for kid in tree.kids(node_id)) or []
 
     assert shape(first.tree, first.tree.root) == shape(direct.tree, direct.tree.root)
+
+
+# words over a few letters and Unicode whitespace (\x1c is a file separator,
+# \x85 next line, U+2028 a line separator and U+3000 an ideographic space),
+# and over any other character
+WORDS = st.lists(st.text(st.sampled_from("ab \t\x1c\x85\u2028\u3000") | st.characters(),
+                         max_size=4), max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(WORDS)
+def test_unwritable_word_is_the_first_empty_or_whitespace_word(words):
+    """One definition of a word a space-separated token line can carry, for
+    forms, lemmas and training tokens alike."""
+    expected = next((i for i, word in enumerate(words)
+                     if word == "" or any(ch.isspace() for ch in word)), None)
+    assert unwritable_word(words) == expected

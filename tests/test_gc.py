@@ -88,16 +88,16 @@ def test_main_pauses_the_collector_and_restores_it(enabled, fault, code, tmp_pat
     """The command runs with the collector off, and the caller's setting is back,
     with no full collection on the way out, after an exit with 0, 1 or 2, or an
     exception."""
-    read_gold = cli._read_gold
+    read_conllu = cli._read_conllu
     seen = []
 
-    def reading(path, strict=True):
+    def reading(path, *words, strict=True):
         seen.append(gc.isenabled())
         if fault is not None:
             raise fault("injected")
-        return read_gold(path, strict)
+        return read_conllu(path, *words, strict=strict)
 
-    monkeypatch.setattr(cli, "_read_gold", reading)
+    monkeypatch.setattr(cli, "_read_conllu", reading)
     gold = tmp_path / "gold.conllu"
     gold.write_text(serialize_conllu(ToyLang(seed=2).corpus(4)), encoding="utf-8")
     argv = ["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds")]

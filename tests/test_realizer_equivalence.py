@@ -198,11 +198,11 @@ def instances(draw, min_nodes=1, max_nodes=5, forms=FORMS):
         sparse = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
         tree = _tree(tokens, [0, *sparse])
     sentence = ShallowSentence(tree=tree)
-    by_lemma = {}
+    ranked = {}  # one (lemma,) entry per node
     for i in range(1, n + 1):
         node_forms = draw(st.lists(st.sampled_from(forms), min_size=1, max_size=3, unique=True))
-        by_lemma[f"l{i}"] = tuple((form, 1) for form in node_forms)
-    lexicon = FormLexicon(full={}, by_lemma_upos={}, by_lemma=by_lemma)
+        ranked[(f"l{i}",)] = tuple((form, 1) for form in node_forms)
+    lexicon = FormLexicon(ranked)
     return sentence, lexicon
 
 
