@@ -8,11 +8,10 @@ unweighted; this keeps every conditional distribution normalized.  A
 deep order with a lambda near 1 can underflow a probability to 0.0,
 which has no log: ``logprob`` raises DataError for it.
 
-Queries are cached twice: ``logprob`` memoizes each (token, context)
-score, and each full context keeps its rows, the (counts, total) of
-every order whose shorter context was observed, so a context's later
-queries fold those rows without slicing or probing a table per order.
-``_MEMO_MAX`` bounds both caches, and pickling drops both.
+A query walks the context tree built with the model, from the empty context
+back through its context's tokens, one order per node, up to the first
+unobserved context.  ``logprob`` memoizes each (token, context) score,
+``_MEMO_MAX`` bounds that memo, and pickling drops it.
 
 Models persist as sorted plain-text count files and reload to
 bit-identical scores.
@@ -30,8 +29,7 @@ from .deptree import unwritable_word
 BOS = "<s>"
 UNK = "<unk>"
 _HEADER_TAG = "ngram-counts-v1"
-# logprob memo entries, and contexts with cached rows, kept before each cache is
-# cleared; bounds memory on long runs
+# logprob memo entries kept before the memo is cleared; bounds memory on long runs
 _MEMO_MAX = 1_000_000
 
 
@@ -46,14 +44,23 @@ class NGramModel:
         self.lam = lam
         self.counts = counts
         self.vocab = vocab
-        self.totals = {
-            k: {ctx: sum(c.values()) for ctx, c in by_ctx.items()}
-            for k, by_ctx in counts.items()
-        }
         self._base = 1.0 / (len(vocab) + 1)  # vocab plus the unknown token
         self._memo: dict[tuple, float] = {}
-        # per full context, its rows for _p (see _fill_rows)
-        self._rows: dict[tuple, tuple[tuple[Counter, int], ...]] = {}
+        # per observed context a node (its counts, their total, longer): longer[t] is the
+        # node of the context one token longer, t in front; ascending, so suffixes first
+        nodes: dict[tuple, tuple[Counter, int, dict]] = {}
+        for k in sorted(counts):
+            for ctx, ctx_counts in counts[k].items():
+                node = nodes[ctx] = (ctx_counts, sum(ctx_counts.values()), {})
+                if ctx:
+                    shorter = nodes.get(ctx[1:])
+                    if shorter is None:  # never in trained counts: they hold every suffix
+                        raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} but no "
+                                         f"order-{k - 1} counts after {' '.join(ctx[1:])!r}")
+                    shorter[2][ctx[0]] = node
+        if () not in nodes:
+            raise ValueError("no order-1 counts")
+        self._root = nodes[()]
 
     # queries ---------------------------------------------------------------
 
@@ -70,29 +77,13 @@ class NGramModel:
 
     def _p(self, token: str, ctx: tuple[str, ...]) -> float:
         """P_order(token | ctx), built up from the uniform base one order at a time."""
-        rows = self._rows.get(ctx)
-        if rows is None:
-            rows = self._fill_rows(ctx)
-        lam = self.lam
-        p = self._base
-        for counter, total in rows:
+        lam, p, node = self.lam, self._base, self._root
+        tokens = reversed(ctx)  # nearest first, then None, which keys no node
+        while node is not None:
+            counter, total, longer = node
             p = lam * (counter.get(token, 0) / total) + (1.0 - lam) * p
+            node = longer.get(next(tokens, None))
         return p
-
-    def _fill_rows(self, ctx: tuple[str, ...]) -> tuple[tuple[Counter, int], ...]:
-        """The (counts, total) of each order 1..order whose context in ``ctx`` was
-        observed, in ascending order; a context not observed at order k passes
-        the query through to order k-1, so it has no row."""
-        if len(self._rows) >= _MEMO_MAX:
-            self._rows.clear()
-        rows = []
-        for k in range(1, self.order + 1):
-            k_ctx = ctx[self.order - k:]  # the last k-1 context tokens
-            total = self.totals.get(k, {}).get(k_ctx, 0)
-            if total:
-                rows.append((self.counts[k][k_ctx], total))
-        rows = self._rows[ctx] = tuple(rows)
-        return rows
 
     def logprob(self, token: str, history: tuple[str, ...] | list[str]) -> float:
         ctx = self.context_key(history)
@@ -109,11 +100,9 @@ class NGramModel:
             cached = self._memo[key] = math.log(p)
         return cached
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_memo"] = {}
-        state["_rows"] = {}
-        return state
+    def __reduce__(self):
+        # rebuilt by the constructor: no memo, and no order-deep tree for pickle to recurse into
+        return type(self), (self.order, self.lam, self.counts, self.vocab)
 
     # persistence -----------------------------------------------------------
 
@@ -133,7 +122,8 @@ class NGramModel:
             # only a line feed ends a line: a carriage return save never writes stays
             # in the line, and the spelling checks reject it
             with open(path, encoding="utf-8", newline="\n") as fh:
-                header = fh.readline().rstrip("\n").split("\t")
+                line = fh.readline()
+                header = line.rstrip("\n").split("\t")
                 if len(header) != 4 or header[0] != _HEADER_TAG:
                     raise ValueError(f"no {_HEADER_TAG} header")
                 order = int(header[1].removeprefix("order="))
@@ -177,6 +167,8 @@ class NGramModel:
                         raise ValueError(f"repeated order-{k} count for {token!r} "
                                          f"after {ctx_str!r}")
                     ctx_counts[token] = count
+                if not line.endswith("\n"):  # save ends every line with one, the last too
+                    raise ValueError("the last line does not end with a line feed")
             vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
             if len(vocab) != vocab_size:
                 raise ValueError(f"vocab size mismatch: header {vocab_size}, "
@@ -192,9 +184,16 @@ class NGramModel:
             missing = next((k for k in range(1, order + 1) if k not in counts), None)
             if missing is not None:
                 raise ValueError(f"no order-{missing} counts in an order-{order} model")
+            if _uncountable(vocab):  # and only tokens train_ngram counts
+                raise ValueError("a vocabulary token is reserved, empty or holds whitespace")
             return cls(order=order, lam=lam, counts=counts, vocab=vocab)
         except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
             raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
+
+
+def _uncountable(vocab: set[str]) -> bool:
+    """Whether ``vocab`` holds a reserved marker, an empty token or one with whitespace."""
+    return BOS in vocab or UNK in vocab or unwritable_word(list(vocab)) is not None
 
 
 def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -> NGramModel:
@@ -225,7 +224,7 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
     vocab = set(chain.from_iterable(references))
     # C-level passes over the corpus and its types; the sentence loop only runs
     # to name the first sentence with a bad token
-    if BOS in vocab or UNK in vocab or unwritable_word(list(vocab)) is not None:
+    if _uncountable(vocab):
         for number, sent in enumerate(references, 1):
             for token in sent:
                 if token in (BOS, UNK):

@@ -9,10 +9,13 @@ nodes positionally.  The ``before_*`` functions are the code as it was
 before rows were read by index and built with ``tuple.__new__``,
 ``misc_get`` stopped building a pair list, ``iter_blocks`` tested blank
 lines with ``str.isspace`` and ``NGramModel.load`` reused the parse of the
-previous line's order and context; ``before_context_key`` and
-``before_p`` are ``NGramModel``'s queries as they were before it cached
-rows per context.  On generated inputs each rewritten function must
-return an equal result, or raise the same error with the same message.
+previous line's order and context (``before_load`` builds its result with
+``build``, so a test can keep the live constructor's checks out of it);
+``before_context_key`` and ``before_p`` are ``NGramModel``'s queries as
+they were before it cached rows per context, ``before_p`` reading each
+context's total as the sum of its counts.  On generated inputs each
+rewritten function must return an equal result, or raise the same error
+with the same message.
 """
 
 import math
@@ -20,6 +23,7 @@ import random
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -286,7 +290,7 @@ def before_iter_blocks(text):
         yield block
 
 
-def before_load(path):
+def before_load(path, build=NGramModel):
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
@@ -328,7 +332,7 @@ def before_load(path):
                 if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
                     raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
                                      "token outside the unigram vocabulary")
-        return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)
+        return build(order=order, lam=lam, counts=counts, vocab=vocab)
     except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
         raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
@@ -345,7 +349,7 @@ def before_p(self, token, ctx):
     p = self._base
     for k in range(1, self.order + 1):
         k_ctx = ctx[self.order - k:]  # the last k-1 context tokens
-        total = self.totals.get(k, {}).get(k_ctx, 0)
+        total = sum(self.counts.get(k, {}).get(k_ctx, {}).values())
         if total:  # else nothing was observed after k_ctx: defer entirely to order k-1
             ml = self.counts[k][k_ctx][token] / total
             p = self.lam * ml + (1.0 - self.lam) * p
@@ -380,9 +384,19 @@ def test_train_ngram_matches_reference(corpus, order):
     expected = outcome(lambda: reference_train_ngram(corpus, order))
     assert outcome(counts_and_vocab) == expected
     if isinstance(expected[0], dict):
+        # the context tree: one node per counted context, reached from the root through
+        # the context's tokens, nearest first, holding its Counter and that Counter's sum
         model = train_ngram(corpus, order=order)
-        assert model.totals == {k: {ctx: sum(c.values()) for ctx, c in by_ctx.items()}
-                                for k, by_ctx in expected[0].items()}
+        nodes = {}
+        stack = [((), model._root)]
+        while stack:
+            ctx, (ctx_counts, total, longer) = stack.pop()
+            assert ctx not in nodes
+            nodes[ctx] = ctx_counts, total
+            assert ctx_counts is model.counts[len(ctx) + 1][ctx]
+            stack.extend(((token, *ctx), node) for token, node in longer.items())
+        assert nodes == {ctx: (c, sum(c.values()))
+                         for by_ctx in expected[0].values() for ctx, c in by_ctx.items()}
 
 
 CLEAN_TOKENS = st.sampled_from(["a", "b", "c", "d"])
@@ -654,14 +668,29 @@ def test_ngram_load_matches_before(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ngrams"
         path.write_text(text, encoding="utf-8")
-        expected = outcome(lambda: loaded(before_load))
+        # the parse alone: the live constructor's checks come after load's own
+        expected = outcome(lambda: loaded(lambda p: before_load(p, build=SimpleNamespace)))
         if len(expected) == 4:
-            # before_load also took a file without counts of some order 1..order
-            order, _lam, counts, _vocab = expected
+            # before_load also took a file without counts of some order 1..order, one
+            # whose vocabulary holds a token training never counts, and one with a
+            # context whose one-shorter suffix has no counts; load rejects them in turn
+            order, _lam, counts, vocab = expected
             missing = [k for k in range(1, order + 1) if k not in counts]
+            uncountable = any(t in (BOS, UNK) or t.split() != [t] for t in vocab)
+            unclosed = [(k, ctx) for k in sorted(counts) for ctx in counts[k]
+                        if ctx and ctx[1:] not in counts.get(k - 1, {})]
+            invalid = f"{path} is not a valid n-gram count file: "
             if missing:
-                expected = (DataError, f"{path} is not a valid n-gram count file: "
-                                       f"no order-{missing[0]} counts in an order-{order} model")
+                expected = (DataError, f"{invalid}no order-{missing[0]} counts in an "
+                                       f"order-{order} model")
+            elif uncountable:
+                expected = (DataError, f"{invalid}a vocabulary token is reserved, empty "
+                                       "or holds whitespace")
+            elif unclosed:
+                k, ctx = unclosed[0]
+                expected = (DataError, f"{invalid}order-{k} counts after {' '.join(ctx)!r} "
+                                       f"but no order-{k - 1} counts after "
+                                       f"{' '.join(ctx[1:])!r}")
         assert outcome(lambda: loaded(NGramModel.load)) == expected
 
 
@@ -671,7 +700,7 @@ LM_TOKENS = ["a", "b", "c", "d"]
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(LM_TOKENS), min_size=1, max_size=6),
                 min_size=1, max_size=6),
-       st.integers(1, 5) | st.just(200),
+       st.integers(1, 5) | st.just(200) | st.just(1100),
        st.floats(0.01, 0.99),
        st.data())
 def test_ngram_queries_match_before(corpus, order, lam, data):

@@ -74,6 +74,11 @@ def test_the_cat_sleeps_is_what_save_writes(tmp_path):
     THE_CAT_SLEEPS + b"1\t\tcat\t1\n",  # a repeated unigram
     b"ngram-counts-v1\torder=1500\tlambda=0.7\tvocab=1\n1\t\ta\t1\n",  # orders 2..1500 missing
     THE_CAT_SLEEPS.replace(b"2\t<s>\tThe\t1\n2\tThe\tcat\t1\n2\tcat\tsleeps\t1\n", b""),
+    THE_CAT_SLEEPS.replace(b"2\tcat\tsleeps\t1\n", b""),  # "The cat" observed, "cat" not
+    THE_CAT_SLEEPS[:-1],  # no line feed at the end of the last line
+    # vocabulary tokens train_ngram never counts
+    *(b"ngram-counts-v1\torder=1\tlambda=0.7\tvocab=1\n1\t\t" + token + b"\t1\n"
+      for token in (b"<s>", b"<unk>", b"", b"a b")),
     # numbers int() and float() read but save never writes
     *(THE_CAT_SLEEPS.replace(line, line[:-2] + count + b"\n", 1)
       for line in (b"\tThe\t1\n", b"\tcat\t1\n")  # first and later line of a context
@@ -91,6 +96,27 @@ def test_malformed_count_files(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(DataError, match="not a valid n-gram count file"):
         NGramModel.load(path)
+
+
+@pytest.mark.parametrize("data,reason", [
+    (THE_CAT_SLEEPS.replace(b"2\tcat\tsleeps\t1\n", b""),
+     "order-3 counts after 'The cat' but no order-2 counts after 'cat'"),
+    (THE_CAT_SLEEPS[:-1], "the last line does not end with a line feed"),
+    (b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=1\n1\t\ta\t1",
+     "the last line does not end with a line feed"),
+    (b"ngram-counts-v1\torder=1\tlambda=0.7\tvocab=3\n1\t\t\t1\n1\t\t<s>\t1\n1\t\tb\t1\n",
+     "a vocabulary token is reserved, empty or holds whitespace"),
+    (b"ngram-counts-v1\torder=1\tlambda=0.7\tvocab=2\n1\t\t<unk>\t1\n1\t\ta b\t1\n",
+     "a vocabulary token is reserved, empty or holds whitespace"),
+])
+def test_count_file_rejections_name_their_reason(tmp_path, data, reason):
+    """Files save never writes: a context whose one-shorter suffix has no counts, a
+    last line without its line feed, and a vocabulary token training never counts."""
+    path = tmp_path / "bad.ngrams"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as err:
+        NGramModel.load(path)
+    assert str(err.value) == f"{path} is not a valid n-gram count file: {reason}"
 
 
 @pytest.mark.parametrize("data", [
