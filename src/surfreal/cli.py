@@ -203,8 +203,8 @@ def _load_shallow_dataset(conllu_path: Path, refs_path: Path | None) -> list[Sha
             forms = tuple(refs[i])
             if len(forms) != len(sentence.tokens):
                 raise DataError(
-                    f"sentence {i + 1}: {len(sentence.tokens)} nodes but "
-                    f"{len(forms)} reference tokens")
+                    f"sentence {i + 1} of {conllu_path} has {len(sentence.tokens)} nodes but "
+                    f"line {i + 1} of {refs_path} has {len(forms)} reference tokens")
         dataset.append(shallow_from_conllu(sentence, reference_forms=forms))
     return dataset
 

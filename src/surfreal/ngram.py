@@ -13,8 +13,16 @@ back through its context's tokens, one order per node, up to the first
 unobserved context.  ``logprob`` memoizes each (token, context) score,
 ``_MEMO_MAX`` bounds that memo, and pickling drops it.
 
+A model is built from its order, its lambda and its counts alone: its
+vocabulary is the tokens of the order-1 counts, and the constructor
+rejects counts ``train_ngram`` never makes with ValueError, so every
+model, however built, keeps each distribution normalized.
+
 Models persist as sorted plain-text count files and reload to
-bit-identical scores.
+bit-identical scores.  ``load`` checks the header and each line on its
+own terms (number spellings, order range, context length, count >= 1,
+save's sort order, the final line feed, the header's vocabulary size)
+and raises DataError for those and for the constructor's rejections.
 """
 
 from __future__ import annotations
@@ -34,12 +42,31 @@ _MEMO_MAX = 1_000_000
 
 
 class NGramModel:
-    def __init__(self, order: int, lam: float, counts: dict[int, dict[tuple, Counter]],
-                 vocab: set[str]):
+    def __init__(self, order: int, lam: float, counts: dict[int, dict[tuple, Counter]]):
+        """A model of ``counts[k][context]``, the Counter of the tokens seen after each
+        order-k context of k - 1 tokens.  Its vocabulary is the tokens of the order-1
+        counts.  Counts ``train_ngram`` never makes raise ValueError: a token, or a
+        context token other than the begin marker, outside the vocabulary; an order
+        1..order without counts; a vocabulary token that is a reserved marker, empty or
+        holds whitespace; a context whose one-shorter suffix has no counts."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if not 0 < lam < 1:
             raise ValueError("lambda must be strictly between 0 and 1")
+        vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
+        # trained counts hold n-grams of vocabulary tokens only, after begin markers
+        context_tokens = vocab | {BOS}
+        for k, by_ctx in counts.items():
+            for ctx, ctx_counts in by_ctx.items():
+                if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
+                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
+                                     "token outside the unigram vocabulary")
+        # and at least one n-gram of every order 1..order
+        missing = next((k for k in range(1, order + 1) if not counts.get(k)), None)
+        if missing is not None:
+            raise ValueError(f"no order-{missing} counts in an order-{order} model")
+        if _uncountable(vocab):  # and only tokens train_ngram counts
+            raise ValueError("a vocabulary token is reserved, empty or holds whitespace")
         self.order = order
         self.lam = lam
         self.counts = counts
@@ -58,9 +85,7 @@ class NGramModel:
                         raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} but no "
                                          f"order-{k - 1} counts after {' '.join(ctx[1:])!r}")
                     shorter[2][ctx[0]] = node
-        if () not in nodes:
-            raise ValueError("no order-1 counts")
-        self._root = nodes[()]
+        self._root = nodes[()]  # there: order 1 has counts, and each context its suffixes
 
     # queries ---------------------------------------------------------------
 
@@ -102,7 +127,7 @@ class NGramModel:
 
     def __reduce__(self):
         # rebuilt by the constructor: no memo, and no order-deep tree for pickle to recurse into
-        return type(self), (self.order, self.lam, self.counts, self.vocab)
+        return type(self), (self.order, self.lam, self.counts)
 
     # persistence -----------------------------------------------------------
 
@@ -135,8 +160,10 @@ class NGramModel:
                     raise ValueError(f"header fields {header[1:]} are not as save writes them")
                 counts: dict[int, dict[tuple, Counter]] = {}
                 spelled: dict[str, int] = {}  # count spellings already checked, so each once
-                # save writes each (order, context)'s lines together: parse those once
-                last_k_str = last_ctx_str = None
+                # save writes the lines sorted by (order, context tuple, token), so each
+                # (order, context)'s lines come together: parse those once
+                last_k_str = last_ctx_str = last_token = None
+                last_key = (0, ())
                 for line in fh:
                     k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
                     if k_str != last_k_str or ctx_str != last_ctx_str:
@@ -152,8 +179,7 @@ class NGramModel:
                         if len(ctx) != k - 1:
                             raise ValueError(f"context {ctx_str!r} for {token!r} holds "
                                              f"{len(ctx)} tokens, not {k - 1}")
-                        ctx_counts = counts.setdefault(k, {}).setdefault(ctx, Counter())
-                        last_k_str, last_ctx_str = k_str, ctx_str
+                        last_k_str, last_ctx_str, last_token = k_str, ctx_str, None
                     else:
                         count = spelled.get(count_str) or int(count_str)
                     if count_str not in spelled:
@@ -163,30 +189,25 @@ class NGramModel:
                             raise ValueError(f"count {count_str!r} for {token!r} is not as "
                                              "save writes it")
                         spelled[count_str] = count
-                    if token in ctx_counts:
-                        raise ValueError(f"repeated order-{k} count for {token!r} "
-                                         f"after {ctx_str!r}")
+                    # in save's order each line sorts after the one before, so none repeats
+                    if last_token is None:  # the first line of its (order, context)
+                        ordered = (k, ctx) > last_key
+                        last_key = k, ctx
+                        ctx_counts = counts.setdefault(k, {})[ctx] = Counter()
+                    else:
+                        ordered = token > last_token
+                    if not ordered:
+                        raise ValueError(f"order-{k} count for {token!r} after {ctx_str!r} "
+                                         "does not sort after the line before it")
                     ctx_counts[token] = count
+                    last_token = token
                 if not line.endswith("\n"):  # save ends every line with one, the last too
                     raise ValueError("the last line does not end with a line feed")
-            vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
-            if len(vocab) != vocab_size:
-                raise ValueError(f"vocab size mismatch: header {vocab_size}, "
-                                 f"counted {len(vocab)}")
-            # save writes n-grams of vocabulary tokens only, after begin markers
-            context_tokens = vocab | {BOS}
-            for k, by_ctx in counts.items():
-                for ctx, ctx_counts in by_ctx.items():
-                    if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
-                        raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
-                                         "token outside the unigram vocabulary")
-            # and at least one n-gram of every order 1..order
-            missing = next((k for k in range(1, order + 1) if k not in counts), None)
-            if missing is not None:
-                raise ValueError(f"no order-{missing} counts in an order-{order} model")
-            if _uncountable(vocab):  # and only tokens train_ngram counts
-                raise ValueError("a vocabulary token is reserved, empty or holds whitespace")
-            return cls(order=order, lam=lam, counts=counts, vocab=vocab)
+            # order 1's one context, its tokens sorted and so distinct: the vocabulary
+            counted = len(counts.get(1, {}).get((), ()))
+            if counted != vocab_size:
+                raise ValueError(f"vocab size mismatch: header {vocab_size}, counted {counted}")
+            return cls(order, lam, counts)
         except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
             raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
@@ -219,8 +240,6 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not 0 < lam < 1:
-        raise ValueError("lambda must be strictly between 0 and 1")
     vocab = set(chain.from_iterable(references))
     # C-level passes over the corpus and its types; the sentence loop only runs
     # to name the first sentence with a bad token
@@ -258,5 +277,5 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
                 gram = gram[1:]
                 shorter[gram] = shorter.get(gram, 0) + n
         grams = shorter
-    return NGramModel(order=order, lam=lam, counts=counts, vocab=vocab)
+    return NGramModel(order, lam, counts)
 

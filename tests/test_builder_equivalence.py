@@ -290,7 +290,7 @@ def before_iter_blocks(text):
         yield block
 
 
-def before_load(path, build=NGramModel):
+def before_load(path, build):
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
@@ -630,16 +630,25 @@ LM_CORPORA = st.lists(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max
 CORRUPT_FIELDS = ["0", "1", "2", "3", "4", "-1", "x", "", "a", "a b", "<s>", "<s> a", "zz"]
 
 
+def save_order(line: str):
+    """A count line's place in the order NGramModel.save writes: integer order, then
+    context tuple, then token; ValueError for a line that is not four fields with an
+    integer order."""
+    k_str, ctx_str, token, _count = line.split("\t")
+    return int(k_str), tuple(ctx_str.split(" ")) if ctx_str else (), token
+
+
 @st.composite
 def count_files(draw) -> str:
-    """A saved model's text with lines dropped, repeated, moved or corrupted."""
+    """A saved model's text with lines dropped, repeated, moved or corrupted, or with
+    a vocabulary token renamed to a reserved marker."""
     model = train_ngram(draw(LM_CORPORA), order=draw(st.integers(1, 3)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ngrams"
         model.save(path)
         header, *lines = path.read_text(encoding="utf-8").splitlines()
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["drop", "repeat", "move", "field", "tabs"]))
+        edit = draw(st.sampled_from(["drop", "repeat", "move", "field", "tabs", "rename"]))
         if not lines:
             break
         i = draw(st.integers(0, len(lines) - 1))
@@ -653,9 +662,35 @@ def count_files(draw) -> str:
             fields = lines[i].split("\t")
             fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(CORRUPT_FIELDS))
             lines[i] = "\t".join(fields)
-        else:
+        elif edit == "tabs":
             lines[i] = draw(st.sampled_from(["", "1\ta", lines[i] + "\t1"]))
+        else:
+            # one token renamed in every field of every line, which then go back into
+            # save's order (when they still parse), so the file reaches the vocabulary rule
+            old = draw(st.sampled_from(sorted(model.vocab)))
+            new = draw(st.sampled_from([BOS, UNK]))
+            lines = ["\t".join(" ".join(new if t == old else t for t in field.split(" "))
+                               for field in line.split("\t")) for line in lines]
+            try:
+                lines.sort(key=save_order)
+            except ValueError:
+                pass
     return "\n".join([header, *lines]) + "\n"
+
+
+def first_unsorted(lines: list[str]) -> int | None:
+    """The index of the first line that does not sort after the line before it in
+    save's order, if that comes before the first line save_order cannot read."""
+    last = None
+    for i, line in enumerate(lines):
+        try:
+            key = save_order(line)
+        except ValueError:
+            return None
+        if last is not None and key <= last:
+            return i
+        last = key
+    return None
 
 
 @settings(max_examples=400, deadline=None)
@@ -667,9 +702,27 @@ def test_ngram_load_matches_before(text):
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ngrams"
+        invalid = f"{path} is not a valid n-gram count file: "
+        header, *lines = text.removesuffix("\n").split("\n")
+        unsorted = first_unsorted(lines)
+        if unsorted is not None:
+            # load rejects a line out of save's order at that line, once the line rules
+            # pass on it and on the lines above it.  before_load checks those rules line
+            # by line: on those lines and then one of a single field, it fails on that
+            # last line, or on a repeat (the one kind of unsorted line it rejects), only
+            # when they pass
+            path.write_text("\n".join([header, *lines[:unsorted + 1], "end"]) + "\n",
+                            encoding="utf-8")
+            expected = outcome(lambda: before_load(path, build=SimpleNamespace))
+            if (expected[1] == f"{invalid}not enough values to unpack (expected 4, got 1)"
+                    or expected[1].startswith(f"{invalid}repeated ")):
+                k_str, ctx_str, token, _count = lines[unsorted].split("\t")
+                expected = (DataError, f"{invalid}order-{k_str} count for {token!r} after "
+                                       f"{ctx_str!r} does not sort after the line before it")
         path.write_text(text, encoding="utf-8")
-        # the parse alone: the live constructor's checks come after load's own
-        expected = outcome(lambda: loaded(lambda p: before_load(p, build=SimpleNamespace)))
+        if unsorted is None:
+            # the parse alone: the live constructor's checks come after load's own
+            expected = outcome(lambda: loaded(lambda p: before_load(p, build=SimpleNamespace)))
         if len(expected) == 4:
             # before_load also took a file without counts of some order 1..order, one
             # whose vocabulary holds a token training never counts, and one with a
@@ -679,7 +732,6 @@ def test_ngram_load_matches_before(text):
             uncountable = any(t in (BOS, UNK) or t.split() != [t] for t in vocab)
             unclosed = [(k, ctx) for k in sorted(counts) for ctx in counts[k]
                         if ctx and ctx[1:] not in counts.get(k - 1, {})]
-            invalid = f"{path} is not a valid n-gram count file: "
             if missing:
                 expected = (DataError, f"{invalid}no order-{missing[0]} counts in an "
                                        f"order-{order} model")

@@ -10,6 +10,7 @@ import pytest
 
 from surfreal.cli import main
 from surfreal.conllu_io import parse_conllu, serialize_conllu
+from test_builder_equivalence import save_order
 from test_synthpipe import noisy_corpus_text
 from toylang import ToyLang
 
@@ -243,7 +244,7 @@ def test_synth_command(tmp_path, capsys):
     assert "input_count=" in capsys.readouterr().err
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["pairs"]) == 1  # missing required flags
@@ -288,9 +289,18 @@ def test_usage_errors(tmp_path):
         ["train-lm", "--refs", missing, "--out", str(tmp_path / "x4"), "--lambda", "0"],
         ["synth", "--in", missing, "--vocab-from", missing, "--out", str(tmp_path / "x5"),
          "--min-count", "0"],
+        # values that are not numbers
+        ["realize", "--in", missing, "--lm", missing, "--lexicon", missing,
+         "--out", str(tmp_path / "x7"), "--beam", "x"],
+        ["pairs", "--in", missing, "--refs", missing, "--out", str(tmp_path / "x8"), "--k", "1.5"],
+        ["train-lm", "--refs", missing, "--out", str(tmp_path / "x9"), "--lambda", "x"],
     ):
         assert main(argv) == 1, argv
     assert not list(tmp_path.glob("x*"))
+    err = capsys.readouterr().err
+    for message in ("invalid int value: 'x'", "invalid int value: '1.5'",
+                    "invalid float value: 'x'"):
+        assert message in err
     assert main(["train-lm", "--refs", missing, "--out", str(tmp_path / "x6")]) == 2
 
 
@@ -315,6 +325,17 @@ def test_data_errors(tmp_path, capsys):
     short_refs.write_text("\n".join(refs[:-1]) + "\n", encoding="utf-8")
     assert main(["pairs", "--in", str(ds / "shallow.conllu"), "--refs", str(short_refs),
                  "--out", str(tmp_path / "p")]) == 2
+    # a refs line with one token more than its sentence has nodes
+    long_refs = tmp_path / "long.txt"
+    long_refs.write_text("".join(line + (" extra" if number == 3 else "") + "\n"
+                                 for number, line in enumerate(refs, 1)), encoding="utf-8")
+    nodes = len(refs[2].split())
+    capsys.readouterr()
+    assert main(["pairs", "--in", str(ds / "shallow.conllu"), "--refs", str(long_refs),
+                 "--out", str(tmp_path / "p")]) == 2
+    assert (f"sentence 3 of {ds / 'shallow.conllu'} has {nodes} nodes but line 3 of "
+            f"{long_refs} has {nodes + 1} reference tokens") in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
     assert main(["train-lm", "--refs", str(ds / "refs.txt"),
                  "--out", str(tmp_path / "lm.ngrams")]) == 0
     garbage_lm = tmp_path / "bad.ngrams"
@@ -346,15 +367,17 @@ def test_data_errors(tmp_path, capsys):
                      "--lm", str(bad_lm), "--lexicon", str(gold),
                      "--out", str(tmp_path / "h.txt")]) == 2, name
         assert "not a valid n-gram count file" in capsys.readouterr().err
-    # a bigram of a token outside the unigram vocabulary
+    # a bigram, in its sorted place, of a token outside the unigram vocabulary
+    header, *count_lines = lm_text.splitlines()
     zebra_lm = tmp_path / "zebra.ngrams"
-    zebra_lm.write_text(lm_text + f"2\t{token}\tzebra\t1\n", encoding="utf-8")
+    zebra_lm.write_text("\n".join([header, *sorted([*count_lines, f"2\t{token}\tzebra\t1"],
+                                                   key=save_order)]) + "\n",
+                        encoding="utf-8")
     assert main(["realize", "--in", str(ds / "shallow.stripped.conllu"),
                  "--lm", str(zebra_lm), "--lexicon", str(gold),
                  "--out", str(tmp_path / "h.txt")]) == 2
     assert "outside the unigram vocabulary" in capsys.readouterr().err
     # a header order above the orders the count lines hold
-    header, *count_lines = lm_text.splitlines()
     deep_lm = tmp_path / "deep.ngrams"
     deep_lm.write_text("\n".join([header.replace("order=3", "order=1500"),
                                   *(line for line in count_lines if line.startswith("1\t"))])

@@ -44,6 +44,9 @@ THE_CAT_SLEEPS = (b"ngram-counts-v1\torder=3\tlambda=0.7\tvocab=3\n"
                   b"1\t\tThe\t1\n1\t\tcat\t1\n1\t\tsleeps\t1\n"
                   b"2\t<s>\tThe\t1\n2\tThe\tcat\t1\n2\tcat\tsleeps\t1\n"
                   b"3\t<s> <s>\tThe\t1\n3\t<s> The\tcat\t1\n3\tThe cat\tsleeps\t1\n")
+THE_CAT_SLEEPS_HEADER, *THE_CAT_SLEEPS_LINES = THE_CAT_SLEEPS.split(b"\n")[:-1]
+# with an order-2 count, in its sorted place, of a token outside the unigram vocabulary
+THE_CAT_ZEBRA = THE_CAT_SLEEPS.replace(b"\tsleeps\t1\n3", b"\tsleeps\t1\n2\tcat\tzebra\t1\n3")
 
 
 def test_the_cat_sleeps_is_what_save_writes(tmp_path):
@@ -68,7 +71,7 @@ def test_the_cat_sleeps_is_what_save_writes(tmp_path):
     b"ngram-counts-v1\torder=3\tlambda=1.5\tvocab=1\n1\t\ta\t1\n",
     b"ngram-counts-v1\torder=x\tlambda=0.7\tvocab=1\n",
     b"ngram-counts-v1\torder=1\tlambda=0.5\tvocab=1\n1\t\tcaf\xe9\t1\n",  # not UTF-8
-    THE_CAT_SLEEPS + b"2\tcat\tzebra\t1\n",  # token outside the unigram vocabulary
+    THE_CAT_ZEBRA,
     THE_CAT_SLEEPS + b"3\tdog cat\tsleeps\t1\n",  # context token outside it
     THE_CAT_SLEEPS + b"2\tcat\tsleeps\t4\n",  # a repeated (order, context, token)
     THE_CAT_SLEEPS + b"1\t\tcat\t1\n",  # a repeated unigram
@@ -108,10 +111,31 @@ def test_malformed_count_files(tmp_path, data):
      "a vocabulary token is reserved, empty or holds whitespace"),
     (b"ngram-counts-v1\torder=1\tlambda=0.7\tvocab=2\n1\t\t<unk>\t1\n1\t\ta b\t1\n",
      "a vocabulary token is reserved, empty or holds whitespace"),
+    (THE_CAT_ZEBRA,
+     "order-2 counts after 'cat' hold a token outside the unigram vocabulary"),
+    # lines out of save's order: the first two unigrams swapped, the order-3 lines
+    # first, the first unigram last
+    *((b"\n".join([THE_CAT_SLEEPS_HEADER, *lines]) + b"\n",
+       "order-1 count for 'The' after '' does not sort after the line before it")
+      for lines in ([THE_CAT_SLEEPS_LINES[1], THE_CAT_SLEEPS_LINES[0],
+                     *THE_CAT_SLEEPS_LINES[2:]],
+                    THE_CAT_SLEEPS_LINES[6:] + THE_CAT_SLEEPS_LINES[:6],
+                    THE_CAT_SLEEPS_LINES[1:] + THE_CAT_SLEEPS_LINES[:1])),
+    # a repeated line, next to the one it repeats and after a later context
+    (THE_CAT_SLEEPS.replace(b"\tsleeps\t1\n3", b"\tsleeps\t1\n2\tcat\tsleeps\t4\n3"),
+     "order-2 count for 'sleeps' after 'cat' does not sort after the line before it"),
+    (THE_CAT_SLEEPS + b"1\t\tcat\t1\n",
+     "order-1 count for 'cat' after '' does not sort after the line before it"),
+    # the constructor's order and lambda checks
+    (b"ngram-counts-v1\torder=0\tlambda=0.7\tvocab=0\n", "order must be >= 1"),
+    *((b"ngram-counts-v1\torder=1\tlambda=" + lam + b"\tvocab=1\n1\t\ta\t1\n",
+       "lambda must be strictly between 0 and 1") for lam in (b"1.5", b"0.0")),
 ])
 def test_count_file_rejections_name_their_reason(tmp_path, data, reason):
     """Files save never writes: a context whose one-shorter suffix has no counts, a
-    last line without its line feed, and a vocabulary token training never counts."""
+    last line without its line feed, a vocabulary token training never counts, a
+    token outside the vocabulary, lines out of save's sort order, and a header order
+    or lambda no model has."""
     path = tmp_path / "bad.ngrams"
     path.write_bytes(data)
     with pytest.raises(DataError) as err:

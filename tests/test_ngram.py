@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -181,6 +182,19 @@ def test_save_load_bit_identical_scores(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_load_takes_contexts_in_the_order_save_sorts_them(tmp_path):
+    """save sorts contexts as token tuples: ('a', 'b') before ('a\\x01', 'c'), though
+    as strings 'a\\x01 c' sorts before 'a b'."""
+    model = train_ngram([["a", "b", "x"], ["a\x01", "c", "x"]], order=3)
+    path = tmp_path / "m.ngrams"
+    model.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines.index("3\ta b\tx\t1") < lines.index("3\ta\x01 c\tx\t1")
+    clone = NGramModel.load(path)
+    assert clone.counts == model.counts
+    assert clone.prob("x", ["a\x01", "c"]) == model.prob("x", ["a\x01", "c"])
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ngrams"
     path.write_text("not a model\n")
@@ -202,3 +216,54 @@ def test_load_rejects_garbage(tmp_path):
 def test_training_input_validation(sentences, order, lam, err):
     with pytest.raises(ValueError, match=err):
         train_ngram(sentences, order=order, lam=lam)
+
+
+def the_cat_counts(order: int) -> dict:
+    """The counts train_ngram makes of the one sentence "the cat sleeps"."""
+    return train_ngram([["the", "cat", "sleeps"]], order=order).counts
+
+
+def test_model_built_from_counts_takes_its_vocabulary_from_them():
+    """A library caller passes only the counts: the vocabulary is the order-1 tokens,
+    so every distribution sums to 1, and a pickled model keeps it."""
+    model = NGramModel(2, 0.7, the_cat_counts(2))
+    assert model.vocab == {"the", "cat", "sleeps"}
+    for history in ([], ["the"], ["cat"], ["sleeps"], ["dog"]):
+        total = sum(model.prob(w, history) for w in model.vocab) + model.prob(UNK, history)
+        assert abs(total - 1.0) < 1e-12
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone.vocab == model.vocab
+    assert clone.prob("sleeps", ["cat"]) == model.prob("sleeps", ["cat"])
+
+
+def counts_with(order: int, k: int, ctx: tuple, tokens: dict) -> dict:
+    """``the_cat_counts(order)`` with ``tokens`` as the order-k counts after ``ctx``."""
+    counts = the_cat_counts(order)
+    counts[k][ctx] = Counter(tokens)
+    return counts
+
+
+@pytest.mark.parametrize("order,lam,counts,message", [
+    # P(w | cat) over the vocabulary and <unk> would sum to 0.4167
+    (2, 0.7, counts_with(2, 2, ("cat",), {"sleeps": 1, "zebra": 1}),
+     "order-2 counts after 'cat' hold a token outside the unigram vocabulary"),
+    (2, 0.7, counts_with(2, 2, ("dog",), {"sleeps": 1}),
+     "order-2 counts after 'dog' hold a token outside the unigram vocabulary"),
+    (3, 0.7, {k: c for k, c in the_cat_counts(3).items() if k != 2},
+     "no order-2 counts in an order-3 model"),
+    (1, 0.7, {1: {}}, "no order-1 counts in an order-1 model"),
+    (1, 0.7, counts_with(1, 1, (), {"the": 1, BOS: 1}),
+     "a vocabulary token is reserved, empty or holds whitespace"),
+    (1, 0.7, counts_with(1, 1, (), {"the": 1, "cat sleeps": 1}),
+     "a vocabulary token is reserved, empty or holds whitespace"),
+    (3, 0.7, counts_with(3, 3, ("cat", "sleeps"), {"the": 1}),
+     "order-3 counts after 'cat sleeps' but no order-2 counts after 'sleeps'"),
+    # the order and lambda checks come before the counts checks
+    (0, 0.7, {}, "order must be >= 1"),
+    (2, 1.0, {}, "lambda must be strictly between 0 and 1"),
+])
+def test_model_rejects_counts_training_never_makes(order, lam, counts, message):
+    with pytest.raises(ValueError) as err:
+        NGramModel(order, lam, counts)
+    assert not isinstance(err.value, DataError)
+    assert str(err.value) == message
