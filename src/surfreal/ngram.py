@@ -45,10 +45,12 @@ class NGramModel:
     def __init__(self, order: int, lam: float, counts: dict[int, dict[tuple, Counter]]):
         """A model of ``counts[k][context]``, the Counter of the tokens seen after each
         order-k context of k - 1 tokens.  Its vocabulary is the tokens of the order-1
-        counts.  Counts ``train_ngram`` never makes raise ValueError: a token, or a
-        context token other than the begin marker, outside the vocabulary; an order
-        1..order without counts; a vocabulary token that is a reserved marker, empty or
-        holds whitespace; a context whose one-shorter suffix has no counts."""
+        counts.  Counts ``train_ngram`` never makes raise ValueError: an order-k
+        context that does not hold k - 1 tokens; an empty Counter or a count below 1;
+        a token, or a context token other than the begin marker, outside the
+        vocabulary; an order 1..order without counts; a vocabulary token that is a
+        reserved marker, empty or holds whitespace; a context whose one-shorter suffix
+        has no counts."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if not 0 < lam < 1:
@@ -58,6 +60,13 @@ class NGramModel:
         context_tokens = vocab | {BOS}
         for k, by_ctx in counts.items():
             for ctx, ctx_counts in by_ctx.items():
+                if len(ctx) != k - 1:
+                    raise ValueError(f"an order-{k} context holds {k - 1} tokens, not "
+                                     f"{len(ctx)}: {' '.join(ctx)!r}")
+                # each counted n-gram was seen at least once, and only those are kept
+                if not ctx_counts or min(ctx_counts.values()) < 1:
+                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} are empty or "
+                                     "hold a count below 1")
                 if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
                     raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
                                      "token outside the unigram vocabulary")

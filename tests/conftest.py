@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from toylang import ToyLang, tok  # noqa: E402
+from surfreal import parallel  # noqa: E402
 from surfreal.conllu_io import UdSentence  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -23,6 +25,28 @@ def record_acceptance(line: str) -> None:
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def affinity_mask_kept():
+    """No test leaves this process pinned: every pool started after it would take on
+    the narrower mask."""
+    mask = getattr(os, "sched_getaffinity", lambda pid: None)
+    before = mask(0)
+    yield
+    assert mask(0) == before
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(n)`` has ``parallel_map`` see n usable CPUs, so it clamps no
+    ``jobs`` up to n on any host.  They are this process's own CPUs in turn, so
+    each worker can still be placed on the one it is handed."""
+    real = parallel._usable_cpus()
+
+    def have(n: int) -> None:
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: (real * n)[:n])
+    return have
 
 
 @pytest.fixture

@@ -191,10 +191,11 @@ def test_eval_jobs_parity(pipeline, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])
-def test_eval_starts_no_worker_process(command, pipeline, tmp_path, monkeypatch, capsys):
+def test_eval_starts_no_worker_process(command, pipeline, tmp_path, usable_cpus, monkeypatch,
+                                      capsys):
     """eval and synth work in their own process, whatever --jobs and the CPU count say."""
     root = pipeline["root"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    usable_cpus(3)
 
     def no_pool(*args, **kwargs):
         pytest.fail(f"sr {command} started a process pool")
@@ -642,15 +643,15 @@ def _run_sr(args: list[str], hashseed: str) -> str:
 
 
 _NO_POOL_SCRIPT = """
-import json, os, sys
+import json, sys
 before = set(sys.modules)
 import surfreal
+from surfreal import parallel
 from surfreal.cli import main
-from surfreal.parallel import parallel_map
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-os.cpu_count = lambda: 8  # so jobs=2 is not clamped to one process
-assert parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]  # below two items per job
+parallel._usable_cpus = lambda: list(range(8))  # so jobs=2 is not clamped to one process
+assert parallel.parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]  # below two items per job
 pool = ("concurrent.futures.process", "multiprocessing")
 print(json.dumps({"before": [m for m in pool if m in before],
                   "added": [m for m in pool if m in sys.modules and m not in before]}))

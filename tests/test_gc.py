@@ -68,11 +68,11 @@ def _audit(folder: Path, n: int) -> list[tuple[int, int]]:
         os.chdir(cwd)
 
 
-def test_garbage_does_not_grow_with_the_input(tmp_path, collector_off, monkeypatch):
+def test_garbage_does_not_grow_with_the_input(tmp_path, collector_off, usable_cpus):
     """The objects left in cycles are argparse's and json's, whatever the input
     size.  The first run only warms up: a process's first pool start, for one,
     leaves module-level objects behind once."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so --jobs 2 starts workers
+    usable_cpus(2)  # so --jobs 2 starts workers
     _audit(tmp_path / "warm", 10)
     small = _audit(tmp_path / "small", 10)
     large = _audit(tmp_path / "large", 40)

@@ -258,6 +258,19 @@ def counts_with(order: int, k: int, ctx: tuple, tokens: dict) -> dict:
      "a vocabulary token is reserved, empty or holds whitespace"),
     (3, 0.7, counts_with(3, 3, ("cat", "sleeps"), {"the": 1}),
      "order-3 counts after 'cat sleeps' but no order-2 counts after 'sleeps'"),
+    # P(a) would read -0.6
+    (1, 0.7, {1: {(): Counter(a=-1, b=2)}},
+     "order-1 counts after '' are empty or hold a count below 1"),
+    (2, 0.7, counts_with(2, 2, ("cat",), {"sleeps": 0}),
+     "order-2 counts after 'cat' are empty or hold a count below 1"),
+    # a query would divide by the zero total
+    (1, 0.7, {1: {(): Counter()}}, "order-1 counts after '' are empty or hold a count below 1"),
+    (2, 0.7, counts_with(2, 2, ("cat",), {}),
+     "order-2 counts after 'cat' are empty or hold a count below 1"),
+    (2, 0.7, counts_with(2, 2, ("the", "cat"), {"sleeps": 1}),
+     "an order-2 context holds 1 tokens, not 2: 'the cat'"),
+    (2, 0.7, counts_with(2, 1, ("the",), {"cat": 1}),
+     "an order-1 context holds 0 tokens, not 1: 'the'"),
     # the order and lambda checks come before the counts checks
     (0, 0.7, {}, "order must be >= 1"),
     (2, 1.0, {}, "lambda must be strictly between 0 and 1"),
