@@ -8,21 +8,20 @@ unweighted; this keeps every conditional distribution normalized.  A
 deep order with a lambda near 1 can underflow a probability to 0.0,
 which has no log: ``logprob`` raises DataError for it.
 
-A query walks the context tree built with the model, from the empty context
-back through its context's tokens, one order per node, up to the first
-unobserved context.  ``logprob`` memoizes each (token, context) score,
-``_MEMO_MAX`` bounds that memo, and pickling drops it.
+The model's one store is its context tree: a node per observed context, with
+the counts of the tokens seen after it, their total and the nodes one token
+longer.  A query walks it from the empty context back through its context's
+tokens, one order per node, up to the first unobserved context.  ``logprob``
+memoizes each (token, context) score; ``_MEMO_MAX`` bounds that memo.
 
-A model is built from its order, its lambda and its counts alone: its
-vocabulary is the tokens of the order-1 counts, and the constructor
-rejects counts ``train_ngram`` never makes with ValueError, so every
-model, however built, keeps each distribution normalized.
-
-Models persist as sorted plain-text count files and reload to
-bit-identical scores.  ``load`` checks the header and each line on its
-own terms (number spellings, order range, context length, count >= 1,
-save's sort order, the final line feed, the header's vocabulary size)
-and raises DataError for those and for the constructor's rejections.
+``NGramModel(order, lam, counts)`` builds the tree from the counts alone (the
+vocabulary is the tokens of the order-1 counts) and checks the model rules:
+counts ``train_ngram`` never makes raise ValueError, so every model keeps each
+distribution normalized.  ``train_ngram`` walks its windows into a tree itself.
+Files and pickles (memo dropped) carry the counts, read off the tree by one
+walk and rebuilt by the constructor; files reload to bit-identical scores.
+``load`` checks the line rules (number spellings, save's sort order, the final
+line feed, the header's vocabulary size): DataError for those and the model's.
 """
 
 from __future__ import annotations
@@ -45,12 +44,12 @@ class NGramModel:
     def __init__(self, order: int, lam: float, counts: dict[int, dict[tuple, Counter]]):
         """A model of ``counts[k][context]``, the Counter of the tokens seen after each
         order-k context of k - 1 tokens.  Its vocabulary is the tokens of the order-1
-        counts.  Counts ``train_ngram`` never makes raise ValueError: an order-k
-        context that does not hold k - 1 tokens; an empty Counter or a count below 1;
-        a token, or a context token other than the begin marker, outside the
-        vocabulary; an order 1..order without counts; a vocabulary token that is a
-        reserved marker, empty or holds whitespace; a context whose one-shorter suffix
-        has no counts."""
+        counts.  Counts ``train_ngram`` never makes raise ValueError: an order outside
+        1..order; an order-k context that does not hold k - 1 tokens; an empty Counter
+        or a count below 1; a token, or a context token other than the begin marker,
+        outside the vocabulary; an order 1..order without counts; a vocabulary token
+        that is a reserved marker, empty or holds whitespace; a context whose
+        one-shorter suffix has no counts."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if not 0 < lam < 1:
@@ -60,6 +59,9 @@ class NGramModel:
         context_tokens = vocab | {BOS}
         for k, by_ctx in counts.items():
             for ctx, ctx_counts in by_ctx.items():
+                if not 1 <= k <= order:
+                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} are outside "
+                                     f"orders 1..{order}")
                 if len(ctx) != k - 1:
                     raise ValueError(f"an order-{k} context holds {k - 1} tokens, not "
                                      f"{len(ctx)}: {' '.join(ctx)!r}")
@@ -76,25 +78,38 @@ class NGramModel:
             raise ValueError(f"no order-{missing} counts in an order-{order} model")
         if _uncountable(vocab):  # and only tokens train_ngram counts
             raise ValueError("a vocabulary token is reserved, empty or holds whitespace")
-        self.order = order
-        self.lam = lam
-        self.counts = counts
-        self.vocab = vocab
-        self._base = 1.0 / (len(vocab) + 1)  # vocab plus the unknown token
-        self._memo: dict[tuple, float] = {}
-        # per observed context a node (its counts, their total, longer): longer[t] is the
+        # per observed context a node [its counts, their total, longer]: longer[t] is the
         # node of the context one token longer, t in front; ascending, so suffixes first
-        nodes: dict[tuple, tuple[Counter, int, dict]] = {}
+        nodes: dict[tuple, list] = {}
         for k in sorted(counts):
             for ctx, ctx_counts in counts[k].items():
-                node = nodes[ctx] = (ctx_counts, sum(ctx_counts.values()), {})
+                node = nodes[ctx] = [ctx_counts, sum(ctx_counts.values()), {}]
                 if ctx:
                     shorter = nodes.get(ctx[1:])
                     if shorter is None:  # never in trained counts: they hold every suffix
                         raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} but no "
                                          f"order-{k - 1} counts after {' '.join(ctx[1:])!r}")
                     shorter[2][ctx[0]] = node
-        self._root = nodes[()]  # there: order 1 has counts, and each context its suffixes
+        self._keep(order, lam, vocab, nodes[()])  # there: order 1 has counts
+
+    def _keep(self, order: int, lam: float, vocab: set[str], root: list) -> None:
+        """Take the tree at ``root``, over ``vocab``, as the model's one store: the
+        constructor's last step, and train_ngram's path, whose tokens are checked."""
+        self.order, self.lam, self.vocab, self._root = order, lam, vocab, root
+        self._base = 1.0 / (len(vocab) + 1)  # vocab plus the unknown token
+        self._memo: dict[tuple, float] = {}
+
+    @property
+    def counts(self) -> dict[int, dict[tuple, Counter]]:
+        """``counts[k][context]`` as the constructor takes them, read off the tree by
+        one walk on each read: new dicts around the tree's own Counters, read-only."""
+        counts = {}
+        level = [((), self._root)]
+        for k in range(1, self.order + 1):
+            counts[k] = {ctx: node[0] for ctx, node in level}
+            level = [((token,) + ctx, longer)
+                     for ctx, node in level for token, longer in node[2].items()]
+        return counts
 
     # queries ---------------------------------------------------------------
 
@@ -135,17 +150,17 @@ class NGramModel:
         return cached
 
     def __reduce__(self):
-        # rebuilt by the constructor: no memo, and no order-deep tree for pickle to recurse into
+        # its counts, rebuilt by the constructor: no memo, and no order-deep tree to recurse into
         return type(self), (self.order, self.lam, self.counts)
 
     # persistence -----------------------------------------------------------
 
     def save(self, path) -> None:
         lines = [f"{_HEADER_TAG}\torder={self.order}\tlambda={self.lam!r}\tvocab={len(self.vocab)}"]
-        for k in sorted(self.counts):
-            for ctx in sorted(self.counts[k]):
-                for token in sorted(self.counts[k][ctx]):
-                    lines.append(f"{k}\t{' '.join(ctx)}\t{token}\t{self.counts[k][ctx][token]}")
+        for k, by_ctx in self.counts.items():  # orders ascending; each sorted on its own
+            for ctx in sorted(by_ctx):
+                ctx_counts, head = by_ctx[ctx], f"{k}\t{' '.join(ctx)}\t"
+                lines += [f"{head}{token}\t{ctx_counts[token]}" for token in sorted(ctx_counts)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:  # LF on every platform
             fh.write("\n".join(lines) + "\n")
 
@@ -172,28 +187,19 @@ class NGramModel:
                 # save writes the lines sorted by (order, context tuple, token), so each
                 # (order, context)'s lines come together: parse those once
                 last_k_str = last_ctx_str = last_token = None
-                last_key = (0, ())
+                last_key = ()  # sorts before every (order, context)
                 for line in fh:
                     k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
                     if k_str != last_k_str or ctx_str != last_ctx_str:
                         k = int(k_str)
                         ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
-                        count = spelled.get(count_str) or int(count_str)
-                        # save writes only observed n-grams of orders 1..order
-                        if not 1 <= k <= order:
-                            raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
                         if k_str != last_k_str and str(k) != k_str:
                             raise ValueError(f"order {k_str!r} for {token!r} is not as "
                                              "save writes it")
-                        if len(ctx) != k - 1:
-                            raise ValueError(f"context {ctx_str!r} for {token!r} holds "
-                                             f"{len(ctx)} tokens, not {k - 1}")
                         last_k_str, last_ctx_str, last_token = k_str, ctx_str, None
-                    else:
-                        count = spelled.get(count_str) or int(count_str)
-                    if count_str not in spelled:
-                        if count < 1:
-                            raise ValueError(f"count {count} for {token!r} is below 1")
+                    count = spelled.get(count_str)
+                    if count is None:
+                        count = int(count_str)
                         if str(count) != count_str:
                             raise ValueError(f"count {count_str!r} for {token!r} is not as "
                                              "save writes it")
@@ -212,12 +218,12 @@ class NGramModel:
                     last_token = token
                 if not line.endswith("\n"):  # save ends every line with one, the last too
                     raise ValueError("the last line does not end with a line feed")
-            # order 1's one context, its tokens sorted and so distinct: the vocabulary
+            # order 1's empty context, its tokens sorted and so distinct: the vocabulary
             counted = len(counts.get(1, {}).get((), ()))
             if counted != vocab_size:
                 raise ValueError(f"vocab size mismatch: header {vocab_size}, counted {counted}")
             return cls(order, lam, counts)
-        except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
+        except ValueError as err:  # UnicodeDecodeError and the constructor's model rules too
             raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
 
@@ -240,15 +246,14 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
     pass over ``order`` staggered ``islice`` views of the stream, which copy
     nothing; windows that end at a begin marker are passed over, not stored.
     A k-gram is the last k tokens of the window that ends where it ends, so
-    each lower order's counts are summed from the distinct (k+1)-grams, one
-    Python step each, not counted in another pass over the corpus.  Each
-    order's flat table is emptied as it moves into the by-context table, so
-    besides the stream and the model, training holds at most two flat tables,
-    the one being moved and the sums for the order below, each with at most
-    one entry per real token.
+    each distinct window is walked into the context tree, nearest context token
+    first, adding its count at one node per order; no context is a tuple.  The
+    checks above make every model rule hold, so the model takes the tree as is.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if not 0 < lam < 1:
+        raise ValueError("lambda must be strictly between 0 and 1")
     vocab = set(chain.from_iterable(references))
     # C-level passes over the corpus and its types; the sentence loop only runs
     # to name the first sentence with a bad token
@@ -269,22 +274,17 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         stream += sent
     windows = zip(*(islice(stream, start, None) for start in range(order)))
     ends_real = map(BOS.__ne__, islice(stream, order - 1, None))  # each window's last token
+    root = [Counter(), 0, {}]  # a node as the constructor builds them
     grams = Counter(compress(windows, ends_real))
-    counts: dict[int, dict[tuple, Counter]] = {k: {} for k in range(1, order + 1)}
-    for k in range(order, 0, -1):
-        by_ctx = counts[k]
-        shorter: dict[tuple, int] = {}  # the (k-1)-gram counts
-        while grams:
-            gram, n = grams.popitem()
-            token = gram[-1]
-            ctx = gram[:-1]
-            ctx_counts = by_ctx.get(ctx)
-            if ctx_counts is None:
-                ctx_counts = by_ctx[ctx] = Counter()
-            ctx_counts[token] = n
-            if k > 1:
-                gram = gram[1:]
-                shorter[gram] = shorter.get(gram, 0) + n
-        grams = shorter
-    return NGramModel(order, lam, counts)
-
+    while grams:  # each window let go once it is in the tree
+        window, n = grams.popitem()
+        token, node = window[-1], root
+        for nearer in window[-2::-1]:  # the context's tokens, nearest first
+            node[0][token] = node[0].get(token, 0) + n
+            node[1] += n
+            node = node[2].get(nearer) or node[2].setdefault(nearer, [Counter(), 0, {}])
+        node[0][token] = node[0].get(token, 0) + n
+        node[1] += n
+    model = NGramModel.__new__(NGramModel)
+    model._keep(order, lam, vocab, root)
+    return model

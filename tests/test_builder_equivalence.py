@@ -10,12 +10,15 @@ before rows were read by index and built with ``tuple.__new__``,
 ``misc_get`` stopped building a pair list, ``iter_blocks`` tested blank
 lines with ``str.isspace`` and ``NGramModel.load`` reused the parse of the
 previous line's order and context (``before_load`` builds its result with
-``build``, so a test can keep the live constructor's checks out of it);
+``build``, so a test can keep the live constructor's checks out of it, and
+checks the order-range, context-length and count rules after the parse,
+with the constructor's messages, where the constructor now checks them);
 ``before_context_key`` and ``before_p`` are ``NGramModel``'s queries as
 they were before it cached rows per context, ``before_p`` reading each
 context's total as the sum of its counts.  On generated inputs each
 rewritten function must return an equal result, or raise the same error
-with the same message.
+with the same message.  ``test_count_files_load_only_as_their_own_save``
+states the count-file contract itself, with no copy of earlier code.
 """
 
 import math
@@ -305,14 +308,6 @@ def before_load(path, build):
                 k = int(k_str)
                 ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
                 count = int(count_str)
-                # save writes only observed n-grams of orders 1..order
-                if not 1 <= k <= order:
-                    raise ValueError(f"order {k} for {token!r} is outside 1..{order}")
-                if len(ctx) != k - 1:
-                    raise ValueError(f"context {ctx_str!r} for {token!r} holds "
-                                     f"{len(ctx)} tokens, not {k - 1}")
-                if count < 1:
-                    raise ValueError(f"count {count} for {token!r} is below 1")
                 by_ctx = counts.setdefault(k, {})
                 ctx_counts = by_ctx.get(ctx)
                 if ctx_counts is None:
@@ -322,13 +317,26 @@ def before_load(path, build):
                                      f"after {ctx_str!r}")
                 ctx_counts[token] = count
         vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
-        if len(vocab) != vocab_size:
+        # order 1's empty context: until the context-length rule below, not its only one
+        counted = len(counts.get(1, {}).get((), ()))
+        if counted != vocab_size:
             raise ValueError(f"vocab size mismatch: header {vocab_size}, "
-                             f"counted {len(vocab)}")
+                             f"counted {counted}")
         # save writes n-grams of vocabulary tokens only, after begin markers
         context_tokens = vocab | {BOS}
         for k, by_ctx in counts.items():
             for ctx, ctx_counts in by_ctx.items():
+                # the order-range, context-length and count rules, where the constructor
+                # checks them and with its messages
+                if not 1 <= k <= order:
+                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} are outside "
+                                     f"orders 1..{order}")
+                if len(ctx) != k - 1:
+                    raise ValueError(f"an order-{k} context holds {k - 1} tokens, not "
+                                     f"{len(ctx)}: {' '.join(ctx)!r}")
+                if min(ctx_counts.values()) < 1:
+                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} are empty or "
+                                     "hold a count below 1")
                 if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
                     raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
                                      "token outside the unigram vocabulary")
@@ -393,7 +401,6 @@ def test_train_ngram_matches_reference(corpus, order):
             ctx, (ctx_counts, total, longer) = stack.pop()
             assert ctx not in nodes
             nodes[ctx] = ctx_counts, total
-            assert ctx_counts is model.counts[len(ctx) + 1][ctx]
             stack.extend(((token, *ctx), node) for token, node in longer.items())
         assert nodes == {ctx: (c, sum(c.values()))
                          for by_ctx in expected[0].values() for ctx, c in by_ctx.items()}
@@ -746,6 +753,46 @@ def test_ngram_load_matches_before(text):
         assert outcome(lambda: loaded(NGramModel.load)) == expected
 
 
+# bytes save writes and the ones its spellings exclude
+FILE_BYTES = [b"\t", b"\n", b" ", b"\r", b"0", b"1", b"2", b"-", b"+", b"_", b"a", b"b", b"=",
+              b"<s>", b"<unk>", "\u0662".encode(), b"\x00", b"\xff", b"e"]
+
+
+@st.composite
+def byte_edited_files(draw) -> bytes:
+    """A saved model's bytes with up to four bytes or byte runs deleted, inserted or
+    replaced: anywhere, next to a tab or a line feed (where a field's number is
+    spelled and a line ends) or at the last byte, each as often."""
+    data = bytearray(draw(count_files()).encode("utf-8"))
+    rng = draw(st.randoms(use_true_random=False))  # places spread over the file
+    for _ in range(draw(st.integers(1, 4))):
+        ends = [i for i, byte in enumerate(data) if byte in b"\t\n"] or [0]
+        i = rng.choice([rng.randrange(len(data) + 1), rng.choice(ends) + rng.randrange(2),
+                        max(len(data) - 1, 0)])
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        width = draw(st.integers(1, 3)) if edit != "insert" else 0
+        data[i:i + width] = b"" if edit == "delete" else draw(st.sampled_from(FILE_BYTES)
+                                                              | st.binary(min_size=1, max_size=2))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_files().map(lambda text: text.encode("utf-8")) | byte_edited_files())
+def test_count_files_load_only_as_their_own_save(data):
+    """A count file either raises DataError in load, or is the file save writes of the
+    model load returns, byte for byte: no rule load or the constructor drops lets in
+    a file that save would not write."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "m.ngrams", Path(tmp) / "again.ngrams"
+        path.write_bytes(data)
+        try:
+            model = NGramModel.load(path)
+        except DataError:
+            return
+        model.save(again)
+        assert again.read_bytes() == data
+
+
 LM_TOKENS = ["a", "b", "c", "d"]
 
 
@@ -759,6 +806,9 @@ def test_ngram_queries_match_before(corpus, order, lam, data):
     """prob and logprob bit for bit, and one memo entry per distinct (token, context),
     on histories shorter and longer than order-1 that hold unseen tokens and contexts."""
     model = train_ngram(corpus, order=order, lam=lam)
+    # the oracle's counts come from the reference, once, not from the model it checks
+    counts, vocab = reference_train_ngram(corpus, order)
+    before = SimpleNamespace(order=order, lam=lam, counts=counts, _base=1.0 / (len(vocab) + 1))
     queried = set()
     for _ in range(data.draw(st.integers(1, 12))):
         token = data.draw(st.sampled_from(LM_TOKENS + ["zz"]))
@@ -768,8 +818,8 @@ def test_ngram_queries_match_before(corpus, order, lam, data):
         history = [words[i % len(words)] for i in range(max(length, 0))]
         if data.draw(st.booleans()):
             history = tuple(history)
-        ctx = before_context_key(model, history)
-        want = before_p(model, token if token in model.vocab else UNK, ctx)
+        ctx = before_context_key(before, history)
+        want = before_p(before, token if token in vocab else UNK, ctx)
         assert model.context_key(history) == ctx
         assert model.prob(token, history) == want
         if want:

@@ -88,6 +88,9 @@ def test_the_cat_sleeps_is_what_save_writes(tmp_path):
       for count in (b"1_0", b"+2", b"02", b" 2", b"2 ", "\u0662".encode())),
     *(THE_CAT_SLEEPS.replace(b"\n1\t\tThe", b"\n" + order + b"\t\tThe")
       for order in (b"+1", b"01", b" 1", "\u0661".encode())),
+    # on the last line, where no line of the same order spelled as save spells it follows
+    *(THE_CAT_SLEEPS.replace(b"\n3\tThe cat", b"\n" + order + b"\tThe cat")
+      for order in (b"+3", b"03", b" 3", "\u0663".encode())),
     *(THE_CAT_SLEEPS.replace(field, spelled) for field, spelled in (
         (b"order=3", b"order=+3"), (b"order=3", b"order=03"), (b"order=3", b"3"),
         (b"vocab=3", b"vocab=0_3"), (b"vocab=3", "vocab=\u0663".encode()),
@@ -126,6 +129,15 @@ def test_malformed_count_files(tmp_path, data):
      "order-2 count for 'sleeps' after 'cat' does not sort after the line before it"),
     (THE_CAT_SLEEPS + b"1\t\tcat\t1\n",
      "order-1 count for 'cat' after '' does not sort after the line before it"),
+    # count lines in save's order that break a model rule, which only the constructor checks
+    *((THE_CAT_SLEEPS.replace(b"\tcat\tsleeps\t1\n", b"\tcat\tsleeps\t" + count + b"\n", 1),
+       "order-2 counts after 'cat' are empty or hold a count below 1") for count in (b"0", b"-1")),
+    (THE_CAT_SLEEPS.replace(b"\n2\tcat\t", b"\n2\tcat The\t"),
+     "an order-2 context holds 1 tokens, not 2: 'cat The'"),
+    (THE_CAT_SLEEPS + b"4\tThe cat sleeps\tThe\t1\n",
+     "order-4 counts after 'The cat sleeps' are outside orders 1..3"),
+    (THE_CAT_SLEEPS.replace(b"\n1\t\tThe", b"\n0\t\tThe\t1\n1\t\tThe"),
+     "order-0 counts after '' are outside orders 1..3"),
     # the constructor's order and lambda checks
     (b"ngram-counts-v1\torder=0\tlambda=0.7\tvocab=0\n", "order must be >= 1"),
     *((b"ngram-counts-v1\torder=1\tlambda=" + lam + b"\tvocab=1\n1\t\ta\t1\n",
@@ -134,8 +146,9 @@ def test_malformed_count_files(tmp_path, data):
 def test_count_file_rejections_name_their_reason(tmp_path, data, reason):
     """Files save never writes: a context whose one-shorter suffix has no counts, a
     last line without its line feed, a vocabulary token training never counts, a
-    token outside the vocabulary, lines out of save's sort order, and a header order
-    or lambda no model has."""
+    token outside the vocabulary, lines out of save's sort order, a count below 1, a
+    context of the wrong length, an order outside 1..order, and a header order or
+    lambda no model has."""
     path = tmp_path / "bad.ngrams"
     path.write_bytes(data)
     with pytest.raises(DataError) as err:

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -162,6 +163,39 @@ def test_pickle_of_a_deep_order_model():
         assert clone.prob("b", history) == model.prob("b", history)
 
 
+def test_models_keep_only_the_context_tree(tmp_path):
+    """Trained, loaded and unpickled models hold no dict of contexts: beside the order
+    and lambda, only the tree, whose nodes are reached token by token, the vocabulary,
+    the base and the memo.  ``counts`` is read off the tree, anew on each read."""
+    trained = train_ngram(TOY, order=3, lam=0.7)
+    trained.save(tmp_path / "m.ngrams")
+    for model in (trained, NGramModel.load(tmp_path / "m.ngrams"),
+                  pickle.loads(pickle.dumps(trained))):
+        assert vars(model).keys() == {"order", "lam", "vocab", "_base", "_memo", "_root"}
+        stack = [model._root]
+        while stack:
+            _counts, _total, longer = stack.pop()
+            assert all(isinstance(token, str) for token in longer)
+            stack.extend(longer.values())
+        assert model.counts == trained.counts
+        assert model.counts is not model.counts
+
+
+def test_training_memory_grows_linearly_in_order():
+    """A context is a path of nodes, not a tuple of its tokens, so doubling the order
+    doubles the peak (x2.04 on Python 3.10-3.13); with a tuple per context per order
+    it grew x2.63-2.67."""
+    rng = random.Random(0)
+    corpus = [[f"t{rng.randrange(8)}" for _ in range(40)] for _ in range(5)]
+    peaks = []
+    for order in (80, 160):
+        tracemalloc.start()
+        train_ngram(corpus, order=order)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 2.4
+
+
 def test_save_load_bit_identical_scores(tmp_path):
     model = train_ngram(TOY, order=3, lam=0.7)
     path = tmp_path / "m.ngrams"
@@ -271,6 +305,11 @@ def counts_with(order: int, k: int, ctx: tuple, tokens: dict) -> dict:
      "an order-2 context holds 1 tokens, not 2: 'the cat'"),
     (2, 0.7, counts_with(2, 1, ("the",), {"cat": 1}),
      "an order-1 context holds 0 tokens, not 1: 'the'"),
+    # its own save would write lines that load rejects
+    (1, 0.7, {1: {(): Counter(a=1, b=1)}, 2: {("a",): Counter(b=1)}},
+     "order-2 counts after 'a' are outside orders 1..1"),
+    (1, 0.7, {0: {(): Counter(a=1)}, 1: {(): Counter(a=1)}},
+     "order-0 counts after '' are outside orders 1..1"),
     # the order and lambda checks come before the counts checks
     (0, 0.7, {}, "order must be >= 1"),
     (2, 1.0, {}, "lambda must be strictly between 0 and 1"),
