@@ -9,17 +9,22 @@ deep order with a lambda near 1 can underflow a probability to 0.0,
 which has no log: ``logprob`` raises DataError for it.
 
 The model's one store is its context tree: a node per observed context, with
-the counts of the tokens seen after it, their total and the nodes one token
-longer.  A query walks it from the empty context back through its context's
-tokens, one order per node, up to the first unobserved context.  ``logprob``
-memoizes each (token, context) score; ``_MEMO_MAX`` bounds that memo.
+the counts of the tokens seen after it (a dict the model alone holds), their
+total and the nodes one token longer.  A query walks it from the empty context
+back through its context's tokens, one order per node, up to the first
+unobserved context.  ``logprob`` memoizes each (token, context) score;
+``_MEMO_MAX`` bounds that memo.
 
 ``NGramModel(order, lam, counts)`` builds the tree from the counts alone (the
 vocabulary is the tokens of the order-1 counts) and checks the model rules:
 counts ``train_ngram`` never makes raise ValueError, so every model keeps each
-distribution normalized.  ``train_ngram`` walks its windows into a tree itself.
-Files and pickles (memo dropped) carry the counts, read off the tree by one
-walk and rebuilt by the constructor; files reload to bit-identical scores.
+distribution normalized.  The constructor copies the counts it is given (``load``
+hands over the dicts it parsed, which no caller holds, uncopied), and ``counts``
+hands out copies, so no caller shares a node's counts.
+``train_ngram`` walks its windows into a tree itself.  Files and pickles (memo
+dropped) carry the counts, read off the tree by one walk and rebuilt by the
+constructor; files reload to bit-identical scores.  ``save`` writes each order
+as the walk reaches it, so it holds one order's contexts and lines at a time.
 ``load`` checks the line rules (number spellings, save's sort order, the final
 line feed, the header's vocabulary size): DataError for those and the model's.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, compress, islice
+from operator import itemgetter
 
 from .conllu_io import DataError
 from .deptree import unwritable_word
@@ -42,14 +48,21 @@ _MEMO_MAX = 1_000_000
 
 class NGramModel:
     def __init__(self, order: int, lam: float, counts: dict[int, dict[tuple, Counter]]):
-        """A model of ``counts[k][context]``, the Counter of the tokens seen after each
-        order-k context of k - 1 tokens.  Its vocabulary is the tokens of the order-1
-        counts.  Counts ``train_ngram`` never makes raise ValueError: an order outside
-        1..order; an order-k context that does not hold k - 1 tokens; an empty Counter
-        or a count below 1; a token, or a context token other than the begin marker,
-        outside the vocabulary; an order 1..order without counts; a vocabulary token
-        that is a reserved marker, empty or holds whitespace; a context whose
-        one-shorter suffix has no counts."""
+        """A model of ``counts[k][context]``, the Counter (or dict) of the tokens seen
+        after each order-k context of k - 1 tokens, which it copies.  Its vocabulary
+        is the tokens of the order-1 counts.  Counts ``train_ngram`` never makes raise
+        ValueError: an order outside 1..order; an order-k context that does not hold
+        k - 1 tokens; an empty Counter or a count below 1; a token, or a context token
+        other than the begin marker, outside the vocabulary; an order 1..order without
+        counts; a vocabulary token that is a reserved marker, empty or holds
+        whitespace; a context whose one-shorter suffix has no counts."""
+        self._build(order, lam, {k: {ctx: dict(ctx_counts) for ctx, ctx_counts in by_ctx.items()}
+                                 for k, by_ctx in counts.items()})
+
+    def _build(self, order: int, lam: float, counts: dict[int, dict[tuple, dict]]) -> None:
+        """Check the model rules and build the tree on ``counts``, whose dicts the nodes
+        then hold: the constructor's path, on its copy, and load's, on the dicts it
+        parsed, which no caller sees."""
         if order < 1:
             raise ValueError("order must be >= 1")
         if not 0 < lam < 1:
@@ -93,23 +106,31 @@ class NGramModel:
         self._keep(order, lam, vocab, nodes[()])  # there: order 1 has counts
 
     def _keep(self, order: int, lam: float, vocab: set[str], root: list) -> None:
-        """Take the tree at ``root``, over ``vocab``, as the model's one store: the
-        constructor's last step, and train_ngram's path, whose tokens are checked."""
+        """Take the tree at ``root``, over ``vocab``, as the model's one store: _build's
+        last step, and train_ngram's path, whose tokens are checked."""
         self.order, self.lam, self.vocab, self._root = order, lam, vocab, root
         self._base = 1.0 / (len(vocab) + 1)  # vocab plus the unknown token
         self._memo: dict[tuple, float] = {}
 
-    @property
-    def counts(self) -> dict[int, dict[tuple, Counter]]:
-        """``counts[k][context]`` as the constructor takes them, read off the tree by
-        one walk on each read: new dicts around the tree's own Counters, read-only."""
-        counts = {}
+    def _levels(self):
+        """Each order k with its (context, node) pairs, read off the tree by one walk
+        that holds two orders at a time; a context is the tuple of its k - 1 tokens."""
         level = [((), self._root)]
         for k in range(1, self.order + 1):
-            counts[k] = {ctx: node[0] for ctx, node in level}
+            yield k, level
             level = [((token,) + ctx, longer)
                      for ctx, node in level for token, longer in node[2].items()]
-        return counts
+
+    def _counts(self, wrap) -> dict[int, dict[tuple, dict]]:
+        """``counts[k][context]`` as the constructor takes them, read off the tree, each
+        node's token counts passed through ``wrap``."""
+        return {k: {ctx: wrap(node[0]) for ctx, node in level} for k, level in self._levels()}
+
+    @property
+    def counts(self) -> dict[int, dict[tuple, Counter]]:
+        """The counts as Counter copies, made on each read, so a caller who changes them
+        changes no distribution."""
+        return self._counts(Counter)
 
     # queries ---------------------------------------------------------------
 
@@ -150,19 +171,24 @@ class NGramModel:
         return cached
 
     def __reduce__(self):
-        # its counts, rebuilt by the constructor: no memo, and no order-deep tree to recurse into
-        return type(self), (self.order, self.lam, self.counts)
+        # its counts, which the constructor copies as it rebuilds the tree: no memo, and no
+        # order-deep tree to recurse into
+        return type(self), (self.order, self.lam, self._counts(lambda token_counts: token_counts))
 
     # persistence -----------------------------------------------------------
 
     def save(self, path) -> None:
-        lines = [f"{_HEADER_TAG}\torder={self.order}\tlambda={self.lam!r}\tvocab={len(self.vocab)}"]
-        for k, by_ctx in self.counts.items():  # orders ascending; each sorted on its own
-            for ctx in sorted(by_ctx):
-                ctx_counts, head = by_ctx[ctx], f"{k}\t{' '.join(ctx)}\t"
-                lines += [f"{head}{token}\t{ctx_counts[token]}" for token in sorted(ctx_counts)]
+        """Write the counts, one order at a time: each order's lines, sorted by context
+        tuple and then token, as the walk reaches it."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:  # LF on every platform
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{_HEADER_TAG}\torder={self.order}\tlambda={self.lam!r}"
+                     f"\tvocab={len(self.vocab)}\n")
+            for k, level in self._levels():
+                lines = []
+                for ctx, node in sorted(level, key=itemgetter(0)):
+                    head = f"{k}\t{' '.join(ctx)}\t"
+                    lines += [f"{head}{token}\t{n}\n" for token, n in sorted(node[0].items())]
+                fh.write("".join(lines))
 
     @classmethod
     def load(cls, path) -> "NGramModel":
@@ -182,7 +208,7 @@ class NGramModel:
                 # " 2", non-ASCII digits): only save's own spelling of a number loads
                 if header[1:] != [f"order={order}", f"lambda={lam!r}", f"vocab={vocab_size}"]:
                     raise ValueError(f"header fields {header[1:]} are not as save writes them")
-                counts: dict[int, dict[tuple, Counter]] = {}
+                counts: dict[int, dict[tuple, dict[str, int]]] = {}
                 spelled: dict[str, int] = {}  # count spellings already checked, so each once
                 # save writes the lines sorted by (order, context tuple, token), so each
                 # (order, context)'s lines come together: parse those once
@@ -208,7 +234,7 @@ class NGramModel:
                     if last_token is None:  # the first line of its (order, context)
                         ordered = (k, ctx) > last_key
                         last_key = k, ctx
-                        ctx_counts = counts.setdefault(k, {})[ctx] = Counter()
+                        ctx_counts = counts.setdefault(k, {})[ctx] = {}
                     else:
                         ordered = token > last_token
                     if not ordered:
@@ -222,7 +248,9 @@ class NGramModel:
             counted = len(counts.get(1, {}).get((), ()))
             if counted != vocab_size:
                 raise ValueError(f"vocab size mismatch: header {vocab_size}, counted {counted}")
-            return cls(order, lam, counts)
+            model = cls.__new__(cls)
+            model._build(order, lam, counts)  # dicts only this call holds: no copy
+            return model
         except ValueError as err:  # UnicodeDecodeError and the constructor's model rules too
             raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
 
@@ -274,7 +302,7 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         stream += sent
     windows = zip(*(islice(stream, start, None) for start in range(order)))
     ends_real = map(BOS.__ne__, islice(stream, order - 1, None))  # each window's last token
-    root = [Counter(), 0, {}]  # a node as the constructor builds them
+    root = [{}, 0, {}]  # a node as the constructor builds them
     grams = Counter(compress(windows, ends_real))
     while grams:  # each window let go once it is in the tree
         window, n = grams.popitem()
@@ -282,7 +310,7 @@ def train_ngram(references: list[list[str]], order: int = 3, lam: float = 0.7) -
         for nearer in window[-2::-1]:  # the context's tokens, nearest first
             node[0][token] = node[0].get(token, 0) + n
             node[1] += n
-            node = node[2].get(nearer) or node[2].setdefault(nearer, [Counter(), 0, {}])
+            node = node[2].get(nearer) or node[2].setdefault(nearer, [{}, 0, {}])
         node[0][token] = node[0].get(token, 0) + n
         node[1] += n
     model = NGramModel.__new__(NGramModel)

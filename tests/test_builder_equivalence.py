@@ -1,39 +1,44 @@
-"""The data builders against their earlier per-row forms.
+"""The data builders against earlier forms of them, and the contracts of the
+files the commands read.
 
-``reference_train_ngram``, ``reference_build_form_lexicon``,
-``reference_linearize``, ``reference_append_form_list`` and
-``reference_shallow_from_conllu`` are the code as it was before the
-builders counted flat n-gram tables, counted lexicon rows once, walked
-trees with an explicit stack, memoized form-list segments and built tree
-nodes positionally.  The ``before_*`` functions are the code as it was
-before rows were read by index and built with ``tuple.__new__``,
-``misc_get`` stopped building a pair list, ``iter_blocks`` tested blank
-lines with ``str.isspace`` and ``NGramModel.load`` reused the parse of the
-previous line's order and context (``before_load`` builds its result with
-``build``, so a test can keep the live constructor's checks out of it, and
-checks the order-range, context-length and count rules after the parse,
-with the constructor's messages, where the constructor now checks them);
-``before_context_key`` and ``before_p`` are ``NGramModel``'s queries as
-they were before it cached rows per context, ``before_p`` reading each
-context's total as the sum of its counts.  On generated inputs each
-rewritten function must return an equal result, or raise the same error
-with the same message.  ``test_count_files_load_only_as_their_own_save``
-states the count-file contract itself, with no copy of earlier code.
+A copy of earlier code stays only while a mutant of the function it guards
+is killed by its test and by no other test:
+
+- ``reference_build_form_lexicon`` (the lexicon as it was before it counted
+  each row once): ``build_form_lexicon`` keying rows by lemmas it does not
+  lowercase.
+- ``reference_linearize`` (the recursive walk): ``linearize`` shuffling
+  children with the seed ``rng_seed + 1``.
+- ``reference_append_form_list`` (before segments were memoized): a segment
+  that writes its lemma unescaped.
+- ``before_misc_get`` (``misc_get`` as a scan of ``parse_pairs``):
+  ``misc_get`` returning the last part with the key, not the first.
+- ``before_iter_blocks`` (blank lines tested with ``str.strip``): an
+  ``iter_blocks`` that drops the last block when no blank line follows it.
+
+On generated inputs each live function must return an equal result, or raise
+the same error with the same message.
+
+The contracts need no copy.  ``make-dataset``'s CoNLL-U file and refs.txt,
+and a saved model's count file, with byte edits, either fail to load with
+DataError (so the command exits 2) or load as what their own encoding or
+``save`` writes back; each P(. | ctx) of a trained model is the module's
+Jelinek-Mercer recursion over its counts and sums to 1.  Each contract test
+counts its outcomes and checks that its generator reached both the rejecting
+and the accepting path.
 """
-
 import math
 import random
 import tempfile
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfreal import cli
 from surfreal.conllu_io import (
-    EMPTY,
     ConlluError,
     DataError,
     UdSentence,
@@ -41,17 +46,13 @@ from surfreal.conllu_io import (
     iter_blocks,
     misc_get,
     parse_pairs,
+    serialize_conllu,
 )
 from surfreal.deptree import (
-    ALIGN_KEY,
-    DepTree,
-    NodeInfo,
     ShallowSentence,
     build_tree,
-    shallow_from_conllu,
     shallow_to_conllu,
     shallow_transform,
-    strip_alignment,
 )
 from surfreal.linearizer import (
     CLOSE,
@@ -64,36 +65,11 @@ from surfreal.linearizer import (
     escape_token,
     linearize,
 )
-from surfreal.ngram import _HEADER_TAG, BOS, UNK, NGramModel, train_ngram
+from surfreal.ngram import BOS, UNK, NGramModel, train_ngram
 from surfreal.realizer import _rank_forms, build_form_lexicon, feats_key
-from treegen import heads, sentences
+from treegen import FIELDS, heads, sentences
 
-# --- the earlier code, verbatim ------------------------------------------------
-
-
-def reference_train_ngram(references, order=3):
-    vocab: set[str] = set()
-    counts: dict[int, dict[tuple, Counter]] = {k: {} for k in range(1, order + 1)}
-    n_tokens = 0
-    pad = (BOS,) * (order - 1)
-    for number, sent in enumerate(references, 1):
-        for token in sent:
-            if token in (BOS, UNK):
-                raise DataError(f"sentence {number}: reserved token {token!r}")
-            if token == "" or any(ch.isspace() for ch in token):
-                raise DataError(f"sentence {number}: token {token!r} is empty or "
-                                "contains whitespace")
-        padded = pad + tuple(sent)
-        for i in range(order - 1, len(padded)):
-            token = padded[i]
-            vocab.add(token)
-            n_tokens += 1
-            for k in range(1, order + 1):
-                ctx = padded[i - k + 1 : i]
-                counts[k].setdefault(ctx, Counter())[token] += 1
-    if n_tokens == 0:
-        raise DataError(f"empty training corpus: no tokens in {len(references)} sentences")
-    return counts, vocab
+# --- earlier code, verbatim ------------------------------------------------------
 
 
 def reference_build_form_lexicon(gold):
@@ -159,118 +135,6 @@ def reference_append_form_list(seq, lexicon, tree):
     return LinearSeq(tokens=tokens, node_of=dict(seq.node_of))
 
 
-def reference_build_tree(sentence):
-    nodes = {
-        t.id: NodeInfo(lemma=t.lemma, upos=t.upos, feats=t.feats, deprel=t.deprel)
-        for t in sentence.tokens
-    }
-    children: dict[int, list[int]] = {}
-    root = None
-    for t in sentence.tokens:
-        if t.head == 0:
-            root = t.id
-        else:
-            children.setdefault(t.head, []).append(t.id)
-    if root is None:
-        raise ConlluError("sentence has no root")
-    return DepTree(root=root, nodes=nodes, children=children)
-
-
-def reference_shallow_from_conllu(sentence, reference_forms=None):
-    tree = reference_build_tree(sentence)
-    alignment = {}
-    for t in sentence.tokens:
-        value = misc_get(t.misc, ALIGN_KEY)
-        if value is None:
-            alignment = None
-            break
-        try:
-            alignment[t.id] = int(value) - 1
-        except ValueError:
-            raise ConlluError(f"non-integer {ALIGN_KEY} {value!r} for token {t.id}") from None
-    if alignment is not None:
-        positions = sorted(alignment.values())
-        if positions != list(range(len(sentence.tokens))):
-            raise ConlluError("original_id values are not a permutation of 1..n")
-    return ShallowSentence(tree=tree, reference_forms=reference_forms, alignment=alignment)
-
-
-def before_build_tree(sentence):
-    nodes = {t.id: NodeInfo(t.lemma, t.upos, t.feats, t.deprel) for t in sentence.tokens}
-    children: dict[int, list[int]] = {}
-    roots = []
-    for t in sentence.tokens:
-        if t.head == 0:
-            roots.append(t.id)
-        else:
-            children.setdefault(t.head, []).append(t.id)
-    return DepTree(root=before_only_root(roots), nodes=nodes, children=children)
-
-
-def before_only_root(roots):
-    if len(roots) != 1:
-        raise ConlluError(f"expected exactly one root, found {len(roots)}")
-    return roots[0]
-
-
-def before_shallow_transform(sentence, seed):
-    n = len(sentence.tokens)
-    perm = list(range(1, n + 1))
-    random.Random(seed).shuffle(perm)
-
-    # the token with id i is renamed to perm[i - 1]
-    nodes = {}
-    children: dict[int, list[int]] = {}
-    roots = []
-    alignment = {}
-    for i, t in enumerate(sentence.tokens):
-        new_id = perm[t.id - 1]
-        nodes[new_id] = NodeInfo(t.lemma, t.upos, t.feats, t.deprel)
-        alignment[new_id] = i
-        if t.head == 0:
-            roots.append(new_id)
-        else:
-            children.setdefault(perm[t.head - 1], []).append(new_id)
-    tree = DepTree(root=before_only_root(roots), nodes=nodes, children=children)
-    return ShallowSentence(
-        tree=tree,
-        reference_forms=tuple(t.form for t in sentence.tokens),
-        alignment=alignment,
-    )
-
-
-def before_shallow_to_conllu(shallow):
-    tree = shallow.tree
-    alignment = shallow.alignment
-    parent = {kid: head for head, kids in tree.children.items() for kid in kids}
-    tokens = []
-    for node_id in tree.node_ids():
-        info = tree.nodes[node_id]
-        misc = EMPTY if alignment is None else f"{ALIGN_KEY}={alignment[node_id] + 1}"
-        tokens.append(UdToken(node_id, EMPTY, info.lemma, info.upos, EMPTY, info.feats,
-                              parent.get(node_id, 0), info.deprel, EMPTY, misc))
-    return UdSentence(tokens=tokens)
-
-
-def before_shallow_from_conllu(sentence, reference_forms=None):
-    tree = before_build_tree(sentence)
-    alignment = {}
-    for t in sentence.tokens:
-        value = before_misc_get(t.misc, ALIGN_KEY)
-        if value is None:
-            alignment = None
-            break
-        try:
-            alignment[t.id] = int(value) - 1
-        except ValueError:
-            raise ConlluError(f"non-integer {ALIGN_KEY} {value!r} for token {t.id}") from None
-    if alignment is not None:
-        positions = sorted(alignment.values())
-        if positions != list(range(len(sentence.tokens))):
-            raise ConlluError("original_id values are not a permutation of 1..n")
-    return ShallowSentence(tree=tree, reference_forms=reference_forms, alignment=alignment)
-
-
 def before_misc_get(misc, key):
     for k, v in parse_pairs(misc):
         if k == key:
@@ -293,75 +157,7 @@ def before_iter_blocks(text):
         yield block
 
 
-def before_load(path, build):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if len(header) != 4 or header[0] != _HEADER_TAG:
-                raise ValueError(f"no {_HEADER_TAG} header")
-            order = int(header[1].removeprefix("order="))
-            lam = float(header[2].removeprefix("lambda="))
-            vocab_size = int(header[3].removeprefix("vocab="))
-            counts: dict[int, dict[tuple, Counter]] = {}
-            for line in fh:
-                k_str, ctx_str, token, count_str = line.rstrip("\n").split("\t")
-                k = int(k_str)
-                ctx = tuple(ctx_str.split(" ")) if ctx_str else ()
-                count = int(count_str)
-                by_ctx = counts.setdefault(k, {})
-                ctx_counts = by_ctx.get(ctx)
-                if ctx_counts is None:
-                    ctx_counts = by_ctx[ctx] = Counter()
-                elif token in ctx_counts:
-                    raise ValueError(f"repeated order-{k} count for {token!r} "
-                                     f"after {ctx_str!r}")
-                ctx_counts[token] = count
-        vocab = {token for ctx_counts in counts.get(1, {}).values() for token in ctx_counts}
-        # order 1's empty context: until the context-length rule below, not its only one
-        counted = len(counts.get(1, {}).get((), ()))
-        if counted != vocab_size:
-            raise ValueError(f"vocab size mismatch: header {vocab_size}, "
-                             f"counted {counted}")
-        # save writes n-grams of vocabulary tokens only, after begin markers
-        context_tokens = vocab | {BOS}
-        for k, by_ctx in counts.items():
-            for ctx, ctx_counts in by_ctx.items():
-                # the order-range, context-length and count rules, where the constructor
-                # checks them and with its messages
-                if not 1 <= k <= order:
-                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} are outside "
-                                     f"orders 1..{order}")
-                if len(ctx) != k - 1:
-                    raise ValueError(f"an order-{k} context holds {k - 1} tokens, not "
-                                     f"{len(ctx)}: {' '.join(ctx)!r}")
-                if min(ctx_counts.values()) < 1:
-                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} are empty or "
-                                     "hold a count below 1")
-                if not (context_tokens.issuperset(ctx) and vocab.issuperset(ctx_counts)):
-                    raise ValueError(f"order-{k} counts after {' '.join(ctx)!r} hold a "
-                                     "token outside the unigram vocabulary")
-        return build(order=order, lam=lam, counts=counts, vocab=vocab)
-    except ValueError as err:  # UnicodeDecodeError and the constructor's checks too
-        raise DataError(f"{path} is not a valid n-gram count file: {err}") from None
-
-
-def before_context_key(self, history):
-    """Last order-1 history tokens, left-padded with begin markers."""
-    need = self.order - 1
-    hist = tuple(history[-need:]) if need else ()  # history[-0:] is all of it
-    return (BOS,) * (need - len(hist)) + hist
-
-
-def before_p(self, token, ctx):
-    """P_order(token | ctx), built up from the uniform base one order at a time."""
-    p = self._base
-    for k in range(1, self.order + 1):
-        k_ctx = ctx[self.order - k:]  # the last k-1 context tokens
-        total = sum(self.counts.get(k, {}).get(k_ctx, {}).values())
-        if total:  # else nothing was observed after k_ctx: defer entirely to order k-1
-            ml = self.counts[k][k_ctx][token] / total
-            p = self.lam * ml + (1.0 - self.lam) * p
-    return p
+# --- outcomes and byte edits ----------------------------------------------------
 
 
 def outcome(call):
@@ -372,55 +168,18 @@ def outcome(call):
         return type(err), str(err)
 
 
-# --- n-gram counts ---------------------------------------------------------------
-
-REF_TOKENS = st.one_of(
-    st.sampled_from(["a", "b", "c", "A", "(", BOS, UNK, "", " ", "a b", "x ", " "]),
-    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
-)
-CORPORA = st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]) | REF_TOKENS, max_size=8),
-                   max_size=6)
-
-
-@settings(max_examples=300, deadline=None)
-@given(CORPORA, st.integers(1, 5))
-def test_train_ngram_matches_reference(corpus, order):
-    def counts_and_vocab():
-        model = train_ngram(corpus, order=order)
-        return model.counts, model.vocab
-
-    expected = outcome(lambda: reference_train_ngram(corpus, order))
-    assert outcome(counts_and_vocab) == expected
-    if isinstance(expected[0], dict):
-        # the context tree: one node per counted context, reached from the root through
-        # the context's tokens, nearest first, holding its Counter and that Counter's sum
-        model = train_ngram(corpus, order=order)
-        nodes = {}
-        stack = [((), model._root)]
-        while stack:
-            ctx, (ctx_counts, total, longer) = stack.pop()
-            assert ctx not in nodes
-            nodes[ctx] = ctx_counts, total
-            stack.extend(((token, *ctx), node) for token, node in longer.items())
-        assert nodes == {ctx: (c, sum(c.values()))
-                         for by_ctx in expected[0].values() for ctx, c in by_ctx.items()}
-
-
-CLEAN_TOKENS = st.sampled_from(["a", "b", "c", "d"])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(CLEAN_TOKENS, max_size=1) | st.lists(CLEAN_TOKENS, max_size=8),
-                min_size=1, max_size=6).filter(any),
-       st.integers(1, 5) | st.just(200))
-def test_train_ngram_matches_reference_on_clean_corpora(corpus, order):
-    # most generated corpora above hold a fault; these hold none.  Order 200 is far
-    # above every sentence's length, so most of its k-grams are begin markers.  Empty
-    # and one-token sentences put begin markers next to each other and next to the
-    # end of the sentence before, so a counted window that crossed from one
-    # sentence into the next would show up as a k-gram the reference never counts
-    model = train_ngram(corpus, order=order)
-    assert (model.counts, model.vocab) == reference_train_ngram(corpus, order)
+def byte_edit(draw, data: bytearray, alphabet: list[bytes]) -> None:
+    """Delete, insert or replace one byte or byte run of ``data``: anywhere, next to a
+    tab or a line feed (where a field is spelled and a line ends) or at the last byte,
+    each as often; inserted bytes come from ``alphabet`` or are any one or two."""
+    rng = draw(st.randoms(use_true_random=False))  # places spread over the file
+    ends = [i for i, byte in enumerate(data) if byte in b"\t\n"] or [0]
+    i = rng.choice([rng.randrange(len(data) + 1), rng.choice(ends) + rng.randrange(2),
+                    max(len(data) - 1, 0)])
+    edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+    width = draw(st.integers(1, 3)) if edit != "insert" else 0
+    data[i:i + width] = b"" if edit == "delete" else draw(st.sampled_from(alphabet)
+                                                          | st.binary(min_size=1, max_size=2))
 
 
 # --- form lexicon ----------------------------------------------------------------
@@ -487,129 +246,87 @@ def test_linearize_matches_reference_on_any_fields(sentence, seed, scoped):
     assert linearize(shallow, seed, scoped) == reference_linearize(shallow, seed, scoped)
 
 
-# --- shallow decoding ----------------------------------------------------------------
+# --- shallow datasets ----------------------------------------------------------------
 
 
-def aligned_sentence(miscs: list[str]) -> UdSentence:
-    """A chain 1 <- 2 <- ... whose token i carries ``miscs[i - 1]``."""
-    return UdSentence(tokens=[UdToken(i, "_", f"l{i}", "X", "_", "_", i - 1, "dep", "_", misc)
-                              for i, misc in enumerate(miscs, 1)])
-
-
-@pytest.mark.parametrize("misc", ["original_id=3", "X=1|original_id=3", "original_id=3|X=1",
-                                  "original_id=", "original_id=x"])
-def test_shallow_from_conllu_misc_columns(misc):
-    sentence = aligned_sentence(["original_id=1", "original_id=2", misc])
-    expected = outcome(lambda: reference_shallow_from_conllu(sentence))
-    assert outcome(lambda: shallow_from_conllu(sentence)) == expected
-    assert isinstance(expected, ShallowSentence) == misc.endswith(("3", "3|X=1"))
-
-
-MISC_FORMS = ["original_id={}", "X=1|original_id={}", "original_id={}|X=1", "original_id=",
-              "original_id=x", "_", "X=1", "original_id={}=1", "Original_id={}", "original_id"]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data(), st.integers(1, 6))
-def test_shallow_from_conllu_matches_reference(data, n):
-    positions = data.draw(st.permutations(range(1, n + 1)))
-    # mostly well-formed columns, so whole sentences often decode
-    miscs = [data.draw(st.sampled_from(MISC_FORMS[:3] * 6 + MISC_FORMS)).format(p)
-             for p in positions]
-    sentence = aligned_sentence(miscs)
-    forms = tuple(f"f{i}" for i in range(n))
-    assert (outcome(lambda: shallow_from_conllu(sentence, forms))
-            == outcome(lambda: reference_shallow_from_conllu(sentence, forms)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(sentences())
-def test_shallow_from_conllu_matches_reference_on_any_fields(sentence):
-    assert (outcome(lambda: shallow_from_conllu(sentence))
-            == outcome(lambda: reference_shallow_from_conllu(sentence)))
-
-
-# --- rows read by index ----------------------------------------------------------------
+GOLD_WORDS = st.sampled_from(["a", "b", "A", "(", "café", "3", "_", "=", "original_id=1"])
 
 
 @st.composite
-def loose_sentences(draw, max_tokens: int = 6) -> UdSentence:
-    """Ids 1..n with heads anywhere in 0..n: no root, several roots, self-loops
-    and cycles come up, as they do in trees no parser has checked."""
+def gold_sentences(draw, max_tokens: int = 5) -> UdSentence:
+    """Trees whose forms and lemmas a token line can carry, as make-dataset requires,
+    with any other fields."""
     n = draw(st.integers(1, max_tokens))
-    return UdSentence(tokens=[UdToken(i, f"f{i}", draw(LEMMAS), draw(UPOS), "_", "_",
-                                      draw(st.integers(0, n)), "dep", "_", "_")
+    head = draw(heads(n))
+    return UdSentence(tokens=[UdToken(i, draw(GOLD_WORDS), draw(GOLD_WORDS), draw(FIELDS),
+                                      draw(FIELDS), draw(FIELDS), head[i], draw(FIELDS),
+                                      draw(FIELDS), draw(FIELDS))
                               for i in range(1, n + 1)])
 
 
-@st.composite
-def long_sentences(draw, max_tokens: int = 300) -> UdSentence:
-    """Up to ``max_tokens`` tokens, in a random tree or with heads anywhere
-    in 0..n as in :func:`loose_sentences`."""
-    n = draw(st.integers(1, max_tokens))
-    if draw(st.booleans()):
-        head = draw(heads(n))
-    else:
-        head = dict(enumerate(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)), 1))
-    return UdSentence(tokens=[UdToken(i, f"f{i}", f"l{i % 7}", "X", "_", "_", head[i],
-                                      "dep", "_", "_")
-                              for i in range(1, n + 1)])
+# bytes the shallow CoNLL-U and refs.txt hold, and ones they must not
+SHALLOW_BYTES = [b"\t", b"\n", b"\n\n", b" ", b"\r", b"_", b"=", b"|", b"0", b"1", b"2", b"9",
+                 b"-", b".", b"#", b"a", b"original_id=", "\u0663".encode(), b"\x85", b"\xff"]
 
 
-ANY_SENTENCES = st.one_of(sentences(), loose_sentences())
-BUILDER_SENTENCES = st.one_of(ANY_SENTENCES, long_sentences())
+def test_shallow_datasets_load_only_as_their_own_encoding():
+    """make-dataset's CoNLL-U file (aligned or stripped) and its refs.txt (or none, as
+    realize reads), with byte edits: loading them either raises DataError, so the command
+    exits 2, or gives a dataset whose encoding loads back to it; unedited, the dataset
+    make-dataset wrote, encoded to the same bytes."""
+    outcomes = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(gold_sentences(), min_size=1, max_size=4), st.integers(0, 2**32),
+           st.booleans(), st.booleans(), st.data())
+    def check(gold, seed, aligned, with_refs, data):
+        made = [shallow_transform(s, seed + i) for i, s in enumerate(gold)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            cli._write_shallow_outputs(out / "made", made, "shallow")
+            conllu = out / "made" / ("shallow.conllu" if aligned else "shallow.stripped.conllu")
+            files = [bytearray(conllu.read_bytes()), bytearray((out / "made" / "refs.txt")
+                                                               .read_bytes())]
+            edits = data.draw(st.integers(0, 4))
+            for _ in range(edits):
+                byte_edit(data.draw, files[data.draw(st.integers(0, with_refs))], SHALLOW_BYTES)
+
+            def load(conllu_bytes, refs_bytes):
+                (out / "in.conllu").write_bytes(conllu_bytes)
+                (out / "refs.txt").write_bytes(refs_bytes)
+                return cli._load_shallow_dataset(out / "in.conllu",
+                                                 out / "refs.txt" if with_refs else None)
+
+            try:
+                dataset = load(*files)
+            except DataError:
+                assert edits, "make-dataset's own files do not load"
+                outcomes["rejected"] += 1
+                return
+            encoded = [serialize_conllu(shallow_to_conllu(s) for s in dataset).encode(),
+                       "".join(" ".join(s.reference_forms) + "\n" for s in dataset).encode()
+                       if with_refs else files[1]]
+            assert load(*encoded) == dataset
+            for s in dataset:  # each node has one reference position, and each position one
+                assert s.alignment is None or sorted(s.alignment.values()) == list(
+                    range(len(s.tree.nodes)))
+            if not edits:
+                assert dataset == [
+                    ShallowSentence(s.tree, s.reference_forms if with_refs else None,
+                                    s.alignment if aligned else None) for s in made]
+            loaded = "same bytes" if encoded == files else "fixed point"
+            assert loaded == "same bytes" or edits
+            outcomes[f"{'edited' if edits else 'unedited'}, {loaded}"] += 1
+
+    check()
+    edited_loaded = outcomes["edited, same bytes"] + outcomes["edited, fixed point"]
+    assert outcomes["rejected"] and edited_loaded, outcomes
 
 
-def row_types(tree):
-    return {type(info) for info in tree.nodes.values()}
-
-
-@settings(max_examples=300, deadline=None)
-@given(BUILDER_SENTENCES)
-def test_build_tree_matches_before(sentence):
-    expected = outcome(lambda: before_build_tree(sentence))
-    assert outcome(lambda: build_tree(sentence)) == expected
-    if isinstance(expected, DepTree):
-        assert row_types(build_tree(sentence)) == {NodeInfo}
-
-
-@settings(max_examples=300, deadline=None)
-@given(BUILDER_SENTENCES, st.integers(0, 2**32))
-def test_shallow_transform_matches_before(sentence, seed):
-    expected = outcome(lambda: before_shallow_transform(sentence, seed))
-    assert outcome(lambda: shallow_transform(sentence, seed)) == expected
-    if isinstance(expected, ShallowSentence):
-        assert row_types(shallow_transform(sentence, seed).tree) == {NodeInfo}
-
-
-@settings(max_examples=300, deadline=None)
-@given(sentences(), st.integers(0, 2**32), st.booleans())
-def test_shallow_codec_matches_before(sentence, seed, aligned):
-    shallow = shallow_transform(sentence, seed)
-    if not aligned:
-        shallow = strip_alignment(shallow)
-    encoded = shallow_to_conllu(shallow)
-    assert encoded == before_shallow_to_conllu(shallow)
-    assert {type(t) for t in encoded.tokens} == {UdToken}
-    assert (outcome(lambda: shallow_from_conllu(encoded, shallow.reference_forms))
-            == outcome(lambda: before_shallow_from_conllu(encoded, shallow.reference_forms)))
-    # the decoder also on rows it did not encode, with any fields
-    for rows in (sentence, encoded):
-        assert (outcome(lambda: shallow_from_conllu(rows))
-                == outcome(lambda: before_shallow_from_conllu(rows)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(loose_sentences(), st.lists(st.sampled_from(MISC_FORMS), min_size=6, max_size=6))
-def test_shallow_from_conllu_matches_before_on_loose_trees(sentence, miscs):
-    tokens = [t._replace(misc=misc.format(t.id)) for t, misc in zip(sentence.tokens, miscs)]
-    rows = UdSentence(tokens=tokens)
-    assert (outcome(lambda: shallow_from_conllu(rows))
-            == outcome(lambda: before_shallow_from_conllu(rows)))
-
+# --- CoNLL-U rows and blocks ------------------------------------------------------------
 
 MISC_PARTS = st.sampled_from(["_", "", "original_id=1", "original_id=", "original_id",
-                              "original_id=2=3", "X=1", "X", "=", "=1", "_=1"])
+                              "original_id=2=3", "Original_id=1", "X=1", "X", "=", "=1", "_=1"])
 MISC_KEYS = st.sampled_from(["original_id", "X", "_", "", "=", "original_id=1"])
 
 
@@ -631,6 +348,8 @@ def test_iter_blocks_matches_before(lines):
     assert (outcome(lambda: list(iter_blocks(text)))
             == outcome(lambda: list(before_iter_blocks(text))))
 
+
+# --- count files and distributions --------------------------------------------------
 
 LM_CORPORA = st.lists(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5),
                       min_size=1, max_size=4)
@@ -685,74 +404,6 @@ def count_files(draw) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def first_unsorted(lines: list[str]) -> int | None:
-    """The index of the first line that does not sort after the line before it in
-    save's order, if that comes before the first line save_order cannot read."""
-    last = None
-    for i, line in enumerate(lines):
-        try:
-            key = save_order(line)
-        except ValueError:
-            return None
-        if last is not None and key <= last:
-            return i
-        last = key
-    return None
-
-
-@settings(max_examples=400, deadline=None)
-@given(count_files())
-def test_ngram_load_matches_before(text):
-    def loaded(load):
-        model = load(path)
-        return model.order, model.lam, model.counts, model.vocab
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.ngrams"
-        invalid = f"{path} is not a valid n-gram count file: "
-        header, *lines = text.removesuffix("\n").split("\n")
-        unsorted = first_unsorted(lines)
-        if unsorted is not None:
-            # load rejects a line out of save's order at that line, once the line rules
-            # pass on it and on the lines above it.  before_load checks those rules line
-            # by line: on those lines and then one of a single field, it fails on that
-            # last line, or on a repeat (the one kind of unsorted line it rejects), only
-            # when they pass
-            path.write_text("\n".join([header, *lines[:unsorted + 1], "end"]) + "\n",
-                            encoding="utf-8")
-            expected = outcome(lambda: before_load(path, build=SimpleNamespace))
-            if (expected[1] == f"{invalid}not enough values to unpack (expected 4, got 1)"
-                    or expected[1].startswith(f"{invalid}repeated ")):
-                k_str, ctx_str, token, _count = lines[unsorted].split("\t")
-                expected = (DataError, f"{invalid}order-{k_str} count for {token!r} after "
-                                       f"{ctx_str!r} does not sort after the line before it")
-        path.write_text(text, encoding="utf-8")
-        if unsorted is None:
-            # the parse alone: the live constructor's checks come after load's own
-            expected = outcome(lambda: loaded(lambda p: before_load(p, build=SimpleNamespace)))
-        if len(expected) == 4:
-            # before_load also took a file without counts of some order 1..order, one
-            # whose vocabulary holds a token training never counts, and one with a
-            # context whose one-shorter suffix has no counts; load rejects them in turn
-            order, _lam, counts, vocab = expected
-            missing = [k for k in range(1, order + 1) if k not in counts]
-            uncountable = any(t in (BOS, UNK) or t.split() != [t] for t in vocab)
-            unclosed = [(k, ctx) for k in sorted(counts) for ctx in counts[k]
-                        if ctx and ctx[1:] not in counts.get(k - 1, {})]
-            if missing:
-                expected = (DataError, f"{invalid}no order-{missing[0]} counts in an "
-                                       f"order-{order} model")
-            elif uncountable:
-                expected = (DataError, f"{invalid}a vocabulary token is reserved, empty "
-                                       "or holds whitespace")
-            elif unclosed:
-                k, ctx = unclosed[0]
-                expected = (DataError, f"{invalid}order-{k} counts after {' '.join(ctx)!r} "
-                                       f"but no order-{k - 1} counts after "
-                                       f"{' '.join(ctx[1:])!r}")
-        assert outcome(lambda: loaded(NGramModel.load)) == expected
-
-
 # bytes save writes and the ones its spellings exclude
 FILE_BYTES = [b"\t", b"\n", b" ", b"\r", b"0", b"1", b"2", b"-", b"+", b"_", b"a", b"b", b"=",
               b"<s>", b"<unk>", "\u0662".encode(), b"\x00", b"\xff", b"e"]
@@ -760,72 +411,93 @@ FILE_BYTES = [b"\t", b"\n", b" ", b"\r", b"0", b"1", b"2", b"-", b"+", b"_", b"a
 
 @st.composite
 def byte_edited_files(draw) -> bytes:
-    """A saved model's bytes with up to four bytes or byte runs deleted, inserted or
-    replaced: anywhere, next to a tab or a line feed (where a field's number is
-    spelled and a line ends) or at the last byte, each as often."""
+    """A saved model's bytes with one to four byte edits."""
     data = bytearray(draw(count_files()).encode("utf-8"))
-    rng = draw(st.randoms(use_true_random=False))  # places spread over the file
     for _ in range(draw(st.integers(1, 4))):
-        ends = [i for i, byte in enumerate(data) if byte in b"\t\n"] or [0]
-        i = rng.choice([rng.randrange(len(data) + 1), rng.choice(ends) + rng.randrange(2),
-                        max(len(data) - 1, 0)])
-        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
-        width = draw(st.integers(1, 3)) if edit != "insert" else 0
-        data[i:i + width] = b"" if edit == "delete" else draw(st.sampled_from(FILE_BYTES)
-                                                              | st.binary(min_size=1, max_size=2))
+        byte_edit(draw, data, FILE_BYTES)
     return bytes(data)
 
 
-@settings(max_examples=400, deadline=None)
-@given(count_files().map(lambda text: text.encode("utf-8")) | byte_edited_files())
-def test_count_files_load_only_as_their_own_save(data):
+def test_count_files_load_only_as_their_own_save():
     """A count file either raises DataError in load, or is the file save writes of the
     model load returns, byte for byte: no rule load or the constructor drops lets in
     a file that save would not write."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path, again = Path(tmp) / "m.ngrams", Path(tmp) / "again.ngrams"
-        path.write_bytes(data)
-        try:
-            model = NGramModel.load(path)
-        except DataError:
-            return
-        model.save(again)
-        assert again.read_bytes() == data
+    outcomes = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(count_files().map(lambda text: text.encode("utf-8")) | byte_edited_files())
+    def check(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "m.ngrams", Path(tmp) / "again.ngrams"
+            path.write_bytes(data)
+            try:
+                model = NGramModel.load(path)
+            except DataError:
+                outcomes["rejected"] += 1
+                return
+            model.save(again)
+            assert again.read_bytes() == data
+            outcomes["loaded"] += 1
+
+    check()
+    assert outcomes["rejected"] and outcomes["loaded"], outcomes
 
 
 LM_TOKENS = ["a", "b", "c", "d"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(LM_TOKENS), min_size=1, max_size=6),
-                min_size=1, max_size=6),
-       st.integers(1, 5) | st.just(200) | st.just(1100),
-       st.floats(0.01, 0.99),
-       st.data())
-def test_ngram_queries_match_before(corpus, order, lam, data):
-    """prob and logprob bit for bit, and one memo entry per distinct (token, context),
-    on histories shorter and longer than order-1 that hold unseen tokens and contexts."""
-    model = train_ngram(corpus, order=order, lam=lam)
-    # the oracle's counts come from the reference, once, not from the model it checks
-    counts, vocab = reference_train_ngram(corpus, order)
-    before = SimpleNamespace(order=order, lam=lam, counts=counts, _base=1.0 / (len(vocab) + 1))
-    queried = set()
-    for _ in range(data.draw(st.integers(1, 12))):
-        token = data.draw(st.sampled_from(LM_TOKENS + ["zz"]))
-        length = data.draw(st.sampled_from([0, order - 2, order - 1, order, order + 3])
-                           | st.integers(0, order + 3))
-        words = data.draw(st.lists(st.sampled_from(LM_TOKENS + ["zz"]), min_size=1, max_size=8))
-        history = [words[i % len(words)] for i in range(max(length, 0))]
-        if data.draw(st.booleans()):
-            history = tuple(history)
-        ctx = before_context_key(before, history)
-        want = before_p(before, token if token in vocab else UNK, ctx)
-        assert model.context_key(history) == ctx
-        assert model.prob(token, history) == want
-        if want:
-            assert model.logprob(token, history) == math.log(want)
-            queried.add((token, ctx))
-        else:  # a deep order and a lambda near 1 underflow to 0.0, which has no log
-            with pytest.raises(DataError, match="underflows to 0.0"):
-                model.logprob(token, history)
+def test_distributions_are_the_jelinek_mercer_recursion_of_the_counts():
+    """Each P(. | ctx) is the module's recursion over ``model.counts``, bit for bit, and
+    sums to 1 over the vocabulary and <unk>; ctx is the history's last order-1 tokens
+    after begin markers; logprob is its log, memoized once per (token, context), or a
+    DataError where it underflows to 0.0 (a deep order with a lambda near 1)."""
+    outcomes = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(LM_TOKENS), min_size=1, max_size=6),
+                    min_size=1, max_size=6),
+           # order 200 with a lambda of 0.999 underflows <unk> after begin markers only
+           st.tuples(st.integers(1, 5), st.floats(0.01, 0.99))
+           | st.tuples(st.just(200), st.sampled_from([0.5, 0.999])),
+           st.data())
+    def check(corpus, order_and_lam, data):
+        order, lam = order_and_lam
+        model = train_ngram(corpus, order=order, lam=lam)
+        counts = model.counts
+        tokens = sorted(counts[1][()])
+        assert set(tokens) == model.vocab
+        queried = set()
+        for query in range(data.draw(st.integers(1, 8))):
+            # the first history is empty: begin markers only
+            length = data.draw(st.sampled_from([0, order - 2, order - 1, order, order + 3])
+                               | st.integers(0, order + 3)) if query else 0
+            words = data.draw(st.lists(st.sampled_from(LM_TOKENS + ["zz"]), min_size=1,
+                                       max_size=8))
+            history = [words[i % len(words)] for i in range(max(length, 0))]
+            if data.draw(st.booleans()):
+                history = tuple(history)
+            padded = (BOS,) * (order - 1) + tuple(history)
+            ctx = padded[len(padded) - (order - 1):]
+            assert model.context_key(history) == ctx
+            total = 0.0
+            for token in tokens + [UNK, "zz"]:
+                p = 1.0 / (len(tokens) + 1)
+                for k in range(1, order + 1):
+                    seen = counts[k].get(ctx[order - k:])  # the last k-1 context tokens
+                    if seen:
+                        p = lam * (seen[token] / sum(seen.values())) + (1.0 - lam) * p
+                assert model.prob(token, history) == p
+                total += p if token != "zz" else 0.0  # "zz" is scored as <unk>
+                if p:
+                    assert model.logprob(token, history) == math.log(p)
+                    queried.add((token, ctx))
+                    outcomes["finite"] += 1
+                else:
+                    with pytest.raises(DataError, match="underflows to 0.0"):
+                        model.logprob(token, history)
+                    outcomes["underflow"] += 1
+            assert abs(total - 1.0) < 1e-9
         assert len(model._memo) == len(queried)
+
+    check()
+    assert outcomes["finite"] and outcomes["underflow"], outcomes

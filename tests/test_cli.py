@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,32 @@ def test_make_dataset_outputs(pipeline):
         assert len(sentence.tokens) == len(ref_line.split())
         assert ref_line.split() == orig.forms()
     assert json.loads((ds / "manifest.json").read_text())["subcommand"] == "make-dataset"
+
+
+def test_what_make_dataset_writes(tmp_path):
+    """Each row keeps its token's lemma, upos, feats and deprel under the seeded
+    shuffle's ids, in id order, with the head renamed too; form, xpos and deps are
+    ``_``, and misc is the token's 1-based place in the sentence (``_`` in the stripped
+    file); comments are dropped, and refs.txt holds the forms."""
+    gold = tmp_path / "gold.conllu"
+    gold.write_text("# sent_id = 1\n"
+                    "1\tThe\tthe\tDET\tDT\tDefinite=Def\t2\tdet\t2:det\tSpaceAfter=No\n"
+                    "2\tcat\tcat\tNOUN\tNN\tNumber=Sing\t3\tnsubj\t_\t_\n"
+                    "3\tsleeps\tsleep\tVERB\tVBZ\t_\t0\troot\t_\t_\n\n"
+                    "1\tGo\tgo\tVERB\tVB\tMood=Imp\t0\troot\t_\t_\n"
+                    "2\t!\t!\tPUNCT\t.\t_\t1\tpunct\t_\t_\n\n", encoding="utf-8")
+    assert main(["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds"),
+                 "--seed", "4"]) == 0
+    aligned = ("1\t_\tsleep\tVERB\t_\t_\t0\troot\t_\toriginal_id=3\n"
+               "2\t_\tcat\tNOUN\t_\tNumber=Sing\t1\tnsubj\t_\toriginal_id=2\n"
+               "3\t_\tthe\tDET\t_\tDefinite=Def\t2\tdet\t_\toriginal_id=1\n\n"
+               "1\t_\tgo\tVERB\t_\tMood=Imp\t0\troot\t_\toriginal_id=1\n"
+               "2\t_\t!\tPUNCT\t_\t_\t1\tpunct\t_\toriginal_id=2\n\n")
+    ds = tmp_path / "ds"
+    assert (ds / "shallow.conllu").read_text(encoding="utf-8") == aligned
+    assert (ds / "shallow.stripped.conllu").read_text(encoding="utf-8") == re.sub(
+        "original_id=[0-9]", "_", aligned)
+    assert (ds / "refs.txt").read_text(encoding="utf-8") == "The cat sleeps\nGo !\n"
 
 
 def test_pairs_outputs(pipeline):

@@ -138,6 +138,10 @@ def test_malformed_count_files(tmp_path, data):
      "order-4 counts after 'The cat sleeps' are outside orders 1..3"),
     (THE_CAT_SLEEPS.replace(b"\n1\t\tThe", b"\n0\t\tThe\t1\n1\t\tThe"),
      "order-0 counts after '' are outside orders 1..3"),
+    # a header vocabulary size other than the number of order-1 tokens, none among them
+    (THE_CAT_SLEEPS.replace(b"vocab=3", b"vocab=2"), "vocab size mismatch: header 2, counted 3"),
+    (b"ngram-counts-v1\torder=1\tlambda=0.7\tvocab=1\n",
+     "vocab size mismatch: header 1, counted 0"),
     # the constructor's order and lambda checks
     (b"ngram-counts-v1\torder=0\tlambda=0.7\tvocab=0\n", "order must be >= 1"),
     *((b"ngram-counts-v1\torder=1\tlambda=" + lam + b"\tvocab=1\n1\t\ta\t1\n",
@@ -147,8 +151,8 @@ def test_count_file_rejections_name_their_reason(tmp_path, data, reason):
     """Files save never writes: a context whose one-shorter suffix has no counts, a
     last line without its line feed, a vocabulary token training never counts, a
     token outside the vocabulary, lines out of save's sort order, a count below 1, a
-    context of the wrong length, an order outside 1..order, and a header order or
-    lambda no model has."""
+    context of the wrong length, an order outside 1..order, a header vocabulary size
+    that does not count the order-1 tokens, and a header order or lambda no model has."""
     path = tmp_path / "bad.ngrams"
     path.write_bytes(data)
     with pytest.raises(DataError) as err:

@@ -171,14 +171,39 @@ def test_shallow_encoding_is_inverted_by_decoding(sentence, seed):
     assert strip_alignment_text(text) == serialize_conllu([stripped])
 
 
-def test_shallow_from_conllu_rejects_corrupt_alignment():
-    rows = (
-        "1\t_\ta\tX\t_\t_\t0\troot\t_\toriginal_id=1\n"
-        "2\t_\tb\tX\t_\t_\t1\tdep\t_\toriginal_id=1\n\n"
-    )
-    [sentence] = parse_conllu(rows)
-    with pytest.raises(ConlluError, match="permutation"):
-        shallow_from_conllu(sentence)
+def two_token_sentence(miscs):
+    """Token 1 heading token 2, whose MISC columns are ``miscs``, as parsed."""
+    rows = "".join(f"{i}\t_\t{lemma}\tX\t_\t_\t{i - 1}\tdep\t_\t{misc}\n"
+                   for i, (lemma, misc) in enumerate(zip("ab", miscs), 1))
+    [sentence] = parse_conllu(rows + "\n")
+    return sentence
+
+
+@pytest.mark.parametrize("miscs, message", [
+    (("original_id=1", "original_id=1"), "original_id values are not a permutation of 1..n"),
+    (("original_id=1", "original_id=3"), "original_id values are not a permutation of 1..n"),
+    (("original_id=0", "original_id=1"), "original_id values are not a permutation of 1..n"),
+    (("original_id=1", "original_id=x"), "non-integer original_id 'x' for token 2"),
+    (("original_id=1", "original_id="), "non-integer original_id '' for token 2"),
+])
+def test_shallow_from_conllu_rejects_corrupt_alignment(miscs, message):
+    with pytest.raises(ConlluError) as err:
+        shallow_from_conllu(two_token_sentence(miscs))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("miscs", [("_", "original_id=1"), ("original_id=1", "X=1")])
+def test_alignment_is_none_unless_every_token_has_one(miscs):
+    assert shallow_from_conllu(two_token_sentence(miscs)).alignment is None
+
+
+def test_a_token_that_heads_itself_is_not_a_root():
+    """Only head 0 makes a root; a self-loop is validate_sentence's fault to report."""
+    s = UdSentence(tokens=[tok(1, "a", "a", "X", "_", 0, "root"),
+                           tok(2, "b", "b", "X", "_", 2, "dep")])
+    assert build_tree(s).root == 1
+    shallow = shallow_transform(s, seed=3)
+    assert shallow.alignment[shallow.tree.root] == 0
 
 
 def test_reshuffling_destroys_order_exactly_once(toy):

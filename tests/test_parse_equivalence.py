@@ -9,6 +9,10 @@ reference does.  Ids and
 heads are drawn from valid values and from strings near them: leading
 zeros, ranges, decimals, non-ASCII digits, signs, empty and padded
 strings, letters.
+
+Both copies stay: only their tests kill a ``parse_block`` that accepts a row
+of more than 10 columns, and a ``validate_sentence`` that takes a head of
+n + 1 for one in range.
 """
 
 import re
