@@ -1,30 +1,16 @@
 """The one process fan-out: ``parallel_map(fn, items, jobs)``, behind
-``sr realize --jobs``, its one caller.
+``sr realize --jobs``; it returns ``[fn(item) for item in items]``.
 
-It returns ``[fn(item) for item in items]``, in input order, for any
-``jobs``.  ``jobs`` is first clamped to the CPUs this process may run on
-(its affinity mask where the platform has one, else ``os.cpu_count()``);
-output never depends on it.  Worker processes are used only when
-``jobs > 1`` and there are at least two items per job.  Then all of the
-input goes out at once, in chunks of ``ceil(n / (CHUNKS_PER_JOB * jobs))``
-items: small chunks keep the workers evenly loaded when item costs differ.
-``fn`` (for realize, a ``functools.partial`` holding a model and lexicon)
-reaches each worker once, through the pool initializer, together with the
-caller's cyclic garbage collector setting (``gc.isenabled()``), which each
-worker takes on.  So forked, spawned and forkserver workers alike run with
-the collector off under ``sr``, which pauses it (see ``cli``).  An
-exception in a worker cancels the chunks not yet started and is raised to
-the caller.
-
-Where the platform has ``os.sched_setaffinity``, each worker runs on a CPU
-of its own: one each of the first ``jobs`` CPUs of the caller's mask,
-which is itself left as it was.  A kernel may otherwise keep forked
-workers on their parent's CPU, and two CPU-bound workers sharing one CPU
-are slower than one process.  Where a worker runs changes no output.
-
-The pool modules (``concurrent.futures.process`` and ``multiprocessing``)
-are imported only when workers start, so importing surfreal, a
-``jobs=1`` run or an input below two items per job never loads them.
+``jobs`` is first clamped to the CPUs this process may run on.  At one job,
+or below two items per job, the caller maps ``fn`` alone.  Otherwise the
+caller and ``jobs - 1`` worker processes claim chunks of
+``ceil(n / (CHUNKS_PER_JOB * jobs))`` items from one queue, each process on a
+CPU of its own where the platform can pin one: two CPU-bound processes on one
+CPU are slower than one.  A worker takes on the caller's collector setting
+(``sr`` pauses the collector) and sends its results once, over a pipe.  An
+exception in any process stops further claims and reaches the caller; no
+worker outlives the call.  Only ``multiprocessing`` is imported, and only
+when workers start.
 """
 
 from __future__ import annotations
@@ -39,32 +25,44 @@ R = TypeVar("R")
 
 CHUNKS_PER_JOB = 8
 
-_worker_fn: Callable | None = None
-
 
 def _usable_cpus() -> list[int]:
     """The ids of the CPUs this process may run on, ascending: its affinity mask
-    (which ``taskset`` or a container's cpuset narrows) where the platform has
-    one, else all of the machine's."""
+    (which ``taskset`` or a container's cpuset narrows), else all of them."""
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
     return list(range(os.cpu_count() or 1))
 
 
-def _init_worker(fn: Callable, gc_enabled: bool, cpus) -> None:
-    global _worker_fn
-    _worker_fn = fn
-    if gc_enabled:
-        gc.enable()
-    else:
-        gc.disable()
-    cpu = cpus.get()  # one per worker
+def _pin(cpus) -> None:
     if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
 
 
-def _call(item):
-    return _worker_fn(item)
+def _claim(fn: Callable, chunks: list, claims) -> list[tuple[int, list]] | Exception:
+    """``(chunk number, results)`` for each chunk claimed up to a ``None``, or the
+    exception ``fn`` raised, once no chunk is left for any process to claim."""
+    done = []
+    try:
+        while (number := claims.get()) is not None:
+            done.append((number, list(map(fn, chunks[number]))))
+    except Exception as error:
+        while claims.get() is not None:
+            pass
+        return error
+    return done
+
+
+def _checked(got):
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _work(fn: Callable, chunks: list, claims, report, cpu: int, gc_enabled: bool) -> None:
+    (gc.enable if gc_enabled else gc.disable)()
+    _pin({cpu})
+    report.send(_claim(fn, chunks, claims))
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
@@ -73,17 +71,42 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]
     if jobs <= 1 or len(items) < 2 * jobs:
         return list(map(fn, items))
     import multiprocessing  # not at module level: see above
-    from concurrent.futures import ProcessPoolExecutor
 
+    size = math.ceil(len(items) / (CHUNKS_PER_JOB * jobs))
+    chunks = [items[start:start + size] for start in range(0, len(items), size)]
     context = multiprocessing.get_context()
-    cpus = context.SimpleQueue()  # from the pool's own context, so spawned workers reach it
-    for cpu in usable[:jobs]:
-        cpus.put(cpu)
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context, initializer=_init_worker,
-                               initargs=(fn, gc.isenabled(), cpus))
+    claims = context.SimpleQueue()
+    workers = []  # (process, the receiving end of its pipe)
+    mask = getattr(os, "sched_getaffinity", lambda pid: None)(0)
     try:
-        chunksize = math.ceil(len(items) / (CHUNKS_PER_JOB * jobs))
-        return list(pool.map(_call, items, chunksize=chunksize))
+        for cpu in usable[1:jobs]:
+            report, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_work,
+                                     args=(fn, chunks, claims, send, cpu, gc.isenabled()))
+            worker.start()
+            workers.append((worker, report))
+            send.close()  # the worker holds the only sending end, so its exit ends the pipe
+        for number in [*range(len(chunks)), *[None] * jobs]:  # a None for each process
+            claims.put(number)
+        _pin({usable[0]})
+        done = _checked(_claim(fn, chunks, claims))
+        for worker, report in workers:
+            try:
+                got = report.recv()
+            except EOFError:
+                worker.join()
+                got = RuntimeError(f"worker process {worker.pid} exited with code "
+                                   f"{worker.exitcode} before reporting")
+            done += _checked(got)
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
-        cpus.close()
+        _pin(mask)
+        for worker, report in workers:
+            worker.join()
+            worker.close()
+            report.close()
+        claims.close()
+    return [result for _, results in sorted(done) for result in results]

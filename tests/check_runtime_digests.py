@@ -10,9 +10,13 @@ the inputs with ``perfbench/workloads.build_inputs``, runs the workload's
 six steps at ``--jobs 1`` through ``surfreal.cli.main`` in a temporary
 directory, and compares the sha256 of every output file with the prefix
 recorded in ``perfbench/reference.json``, which it only reads.  A workload
-whose own ``--jobs`` is above 1 (walkthrough, at 2) runs a second time at
-that count, so realize's worker processes, which take on the collector
-setting ``sr`` runs with, are checked too.  Outputs do not depend on
+whose own ``--jobs`` is above 1 (walkthrough, at 2) runs again at that
+count once per start method this platform has
+(``multiprocessing.get_all_start_methods()``: fork, spawn and forkserver on
+Linux, spawn and fork on macOS, spawn on Windows), each set with
+``multiprocessing.set_start_method``, so realize's worker processes, which
+take on the collector setting ``sr`` runs with, are checked by every way
+they can start.  Outputs do not depend on
 ``--jobs`` and only the manifests record it, so a manifest is hashed as
 ``sr`` writes it with the workload's own ``--jobs``.  Exits 1 on any
 difference.  The name keeps pytest from collecting it.
@@ -21,6 +25,7 @@ difference.  The name keeps pytest from collecting it.
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -77,12 +82,17 @@ def check(workload, table: dict, seed: int, jobs: int) -> list[str]:
 def main() -> int:
     tables = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]
     failed = False
+    methods = multiprocessing.get_all_start_methods()
     for name, workload in WORKLOADS.items():
+        legs = [(1, None)] + [(workload.jobs, method) for method in methods
+                              if workload.jobs > 1]
         for seed in SEEDS:
-            for jobs in sorted({1, workload.jobs}):
+            for jobs, method in legs:
+                if method is not None:
+                    multiprocessing.set_start_method(method, force=True)
                 problems = check(workload, tables[name], seed, jobs)
                 failed |= bool(problems)
-                print(f"{name} seed {seed} --jobs {jobs}: "
+                print(f"{name} seed {seed} --jobs {jobs}{f' ({method})' if method else ''}: "
                       f"{'; '.join(problems) or 'all outputs match'} "
                       f"(Python {sys.version.split()[0]})")
     return int(failed)

@@ -1,6 +1,6 @@
-import concurrent.futures
 import hashlib
 import json
+import multiprocessing.process
 import os
 import re
 import subprocess
@@ -224,11 +224,11 @@ def test_eval_starts_no_worker_process(command, pipeline, tmp_path, usable_cpus,
     root = pipeline["root"]
     usable_cpus(3)
 
-    def no_pool(*args, **kwargs):
-        pytest.fail(f"sr {command} started a process pool")
+    def no_worker(process):
+        pytest.fail(f"sr {command} started a worker process")
 
-    # parallel_map imports the pool class from concurrent.futures when it starts workers
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # every multiprocessing process, parallel_map's workers or a pool's, starts here
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_worker)
     if command == "eval":
         assert len(pipeline["gold"]) >= 6  # two pairs per job at --jobs 3
         assert main(["eval", "--hyp", str(root / "hyp.txt"), "--ref", str(pipeline["gold_path"]),
@@ -636,9 +636,12 @@ def test_synth_that_keeps_nothing_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_realize_whose_scores_underflow_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_realize_whose_scores_underflow_is_a_data_error(jobs, tmp_path, capsys, usable_cpus):
     """At order 120 and lambda 0.999 a first word never seen after the begin
-    markers scores (1 - lam)^119 times the base, which underflows to 0.0."""
+    markers scores (1 - lam)^119 times the base, which underflows to 0.0; at
+    --jobs 2 the error is raised in whichever process realizes that sentence."""
+    usable_cpus(2)  # so --jobs 2 starts a worker
     gold = tmp_path / "gold.conllu"
     gold.write_text(serialize_conllu(ToyLang(seed=5).corpus(5)), encoding="utf-8")
     assert main(["make-dataset", "--in", str(gold), "--out", str(tmp_path / "ds")]) == 0
@@ -648,7 +651,7 @@ def test_realize_whose_scores_underflow_is_a_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["realize", "--in", str(tmp_path / "ds" / "shallow.stripped.conllu"),
                  "--lm", str(tmp_path / "lm.ngrams"), "--lexicon", str(gold),
-                 "--out", str(tmp_path / "hyp.txt")]) == 2
+                 "--out", str(tmp_path / "hyp.txt"), "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sr: data error: P(")
     assert "underflows to 0.0 in the order-120 model with lambda 0.999" in err
@@ -675,20 +678,25 @@ before = set(sys.modules)
 import surfreal
 from surfreal import parallel
 from surfreal.cli import main
+real = parallel._usable_cpus()
+parallel._usable_cpus = lambda: (real * 8)[:8]  # so a jobs of 2 or more is not clamped to one
+def loaded():
+    return [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-parallel._usable_cpus = lambda: list(range(8))  # so jobs=2 is not clamped to one process
 assert parallel.parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]  # below two items per job
-pool = ("concurrent.futures.process", "multiprocessing")
-print(json.dumps({"before": [m for m in pool if m in before],
-                  "added": [m for m in pool if m in sys.modules and m not in before]}))
+serial = loaded()
+assert parallel.parallel_map(abs, range(-8, 0), 2) == list(range(8, 0, -1))  # starts a worker
+print(json.dumps({"before": [m for m in loaded() if m in before], "serial": serial,
+                  "fan-out": loaded()}))
 """
 
 
 def test_pool_modules_load_only_when_workers_start(tmp_path):
     """A fresh interpreter that imports surfreal, runs the walkthrough at --jobs 1 and
-    calls parallel_map at jobs=2 on too few items never loads the process pool's
-    modules (test_workers_start_at_two_items_per_job shows a real fan-out starts them)."""
+    calls parallel_map at jobs=2 on too few items never loads multiprocessing, even
+    with CPUs enough for more jobs; a real fan-out then loads it, and never
+    concurrent.futures."""
     gold = tmp_path / "gold.conllu"
     gold.write_text(serialize_conllu(ToyLang(seed=41).corpus(12, kind="mixed")),
                     encoding="utf-8")
@@ -708,7 +716,8 @@ def test_pool_modules_load_only_when_workers_start(tmp_path):
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "hyp.txt").read_text(encoding="utf-8").count("\n") == 12
-    assert json.loads(done.stdout.splitlines()[-1]) == {"before": [], "added": []}
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "before": [], "serial": [], "fan-out": ["multiprocessing"]}
 
 
 def test_outputs_do_not_depend_on_jobs_or_hash_seed(tmp_path):
