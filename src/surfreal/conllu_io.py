@@ -75,9 +75,9 @@ class UdSentence:
 
     ``comments`` holds the leading ``#`` lines verbatim.  ``ignored_lines``
     holds range lines, empty-node lines, and any stray mid-block comment as
-    ``(anchor, line)`` pairs, where the line is emitted immediately before
-    the token at index ``anchor`` (or after all tokens if ``anchor`` equals
-    the token count).
+    ``(anchor, line)`` pairs in file order (so anchors never decrease), where
+    the line is emitted immediately before the token at index ``anchor`` (or
+    after all tokens if ``anchor`` equals the token count).
     """
 
     tokens: list[UdToken]
@@ -211,17 +211,12 @@ def parse_conllu(text: str, strict: bool = True) -> list[UdSentence]:
 
 
 def sentence_lines(sentence: UdSentence) -> list[str]:
-    rows = [t.to_line() for t in sentence.tokens]
-    if not sentence.ignored_lines:
-        return sentence.comments + rows
-    lines = list(sentence.comments)
-    by_anchor: dict[int, list[str]] = {}
-    for anchor, line in sentence.ignored_lines:
-        by_anchor.setdefault(anchor, []).append(line)
-    for i in range(len(rows) + 1):
-        lines.extend(by_anchor.get(i, ()))
-        if i < len(rows):
-            lines.append(rows[i])
+    lines = sentence.comments + [t.to_line() for t in sentence.tokens]
+    start = len(sentence.comments)
+    # last first: a line inserted at an anchor lands before the ones placed
+    # there already, so lines that share an anchor keep their file order
+    for anchor, line in reversed(sentence.ignored_lines):
+        lines.insert(start + anchor, line)
     return lines
 
 

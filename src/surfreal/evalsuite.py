@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from .conllu_io import DataError, UdSentence
 from .linearizer import _ESCAPES
@@ -78,8 +77,6 @@ def pair_counts(hyp: list[str], ref: list[str]) -> BleuCounts:
     counts = BleuCounts(hyp_len=len(hyp), ref_len=len(ref))
     for n in range(1, MAX_ORDER + 1):
         hyp_grams = _ngrams(hyp, n)
-        if not hyp_grams:
-            continue
         ref_grams = _ngrams(ref, n)
         counts.total[n - 1] = sum(hyp_grams.values())
         counts.matched[n - 1] = sum(
@@ -109,6 +106,7 @@ def bleu4(hypotheses: list[list[str]], references: list[list[str]]) -> float:
 CLOSING_PUNCT = frozenset({".", ",", "!", "?", ":", ";", "%"})
 OPEN_BRACKETS = frozenset({"(", "[", "{"})
 CLOSE_BRACKETS = frozenset({")", "]", "}"})
+_ATTACH_LEFT = CLOSING_PUNCT | CLOSE_BRACKETS | {"n't"}
 _UNESCAPES = {escaped: bracket for bracket, escaped in _ESCAPES.items()}
 
 
@@ -125,22 +123,12 @@ def detokenize(tokens: list[str]) -> str:
     dq_open = False
     for raw in tokens:
         token = _UNESCAPES.get(raw, raw)
-        attach_left = False
-        attach_right = False
-        if token in CLOSING_PUNCT or token in CLOSE_BRACKETS:
-            attach_left = True
-        elif token in OPEN_BRACKETS:
-            attach_right = True
-        elif token == '"':
-            if dq_open:
-                attach_left = True
-            else:
-                attach_right = True
+        if token == '"':
             dq_open = not dq_open
-        elif token.startswith("'"):
-            attach_left = True
-        elif token == "n't":
-            attach_left = True
+            attach_left, attach_right = not dq_open, dq_open
+        else:
+            attach_left = token in _ATTACH_LEFT or token.startswith("'")
+            attach_right = token in OPEN_BRACKETS
         if out and (glue_next or attach_left):
             out[-1] += token
         else:
@@ -174,17 +162,16 @@ def classify_output(
     if hyp_stripped == ref_stripped:
         return ErrorCategory.PUNCTUATION_ONLY
 
-    if len(hyp_tokens) == len(ref_forms):
-        table = corpus_lemma_table([ref_sentence])
+    table = corpus_lemma_table([ref_sentence])
 
-        def lemma_of(form: str) -> str:
-            hit = table.get(form)
-            if hit is None and extra_lemmas is not None:
-                hit = extra_lemmas.get(form)
-            return hit if hit is not None else form
+    def lemma_of(form: str) -> str:
+        hit = table.get(form)
+        if hit is None and extra_lemmas is not None:
+            hit = extra_lemmas.get(form)
+        return hit if hit is not None else form
 
-        if [lemma_of(t) for t in hyp_tokens] == [lemma_of(t) for t in ref_forms]:
-            return ErrorCategory.INFLECTION_ONLY
+    if [lemma_of(t) for t in hyp_tokens] == [lemma_of(t) for t in ref_forms]:
+        return ErrorCategory.INFLECTION_ONLY
     return ErrorCategory.OTHER
 
 
@@ -208,24 +195,19 @@ class BucketRow:
     counts: BleuCounts
 
 
-def _bucket_rows(scored: Iterable[tuple[int, BleuCounts]]) -> list[BucketRow]:
-    """Sum (reference length, pair counts) items into one row per length bucket."""
+def bucket_report(pairs: list[tuple[list[str], list[str]]]) -> list[BucketRow]:
+    """Corpus BLEU per reference-length bucket; empty buckets score None."""
     sums = [BleuCounts() for _ in BUCKET_LABELS]
     counts = [0] * len(BUCKET_LABELS)
-    for ref_len, pair in scored:
-        idx = sum(1 for b in BUCKET_BOUNDARIES if ref_len >= b)
-        sums[idx] = sums[idx] + pair
+    for hyp, ref in pairs:
+        idx = sum(1 for b in BUCKET_BOUNDARIES if len(ref) >= b)
+        sums[idx] = sums[idx] + pair_counts(hyp, ref)
         counts[idx] += 1
     return [
         BucketRow(label=label, count=counts[i], counts=sums[i],
                   bleu=sums[i].score() if counts[i] else None)
         for i, label in enumerate(BUCKET_LABELS)
     ]
-
-
-def bucket_report(pairs: list[tuple[list[str], list[str]]]) -> list[BucketRow]:
-    """Corpus BLEU per reference-length bucket; empty buckets score None."""
-    return _bucket_rows((len(ref), pair_counts(hyp, ref)) for hyp, ref in pairs)
 
 
 @dataclass
@@ -279,14 +261,14 @@ def evaluate(
 
     table = corpus_lemma_table(ref_corpus)
     errors: Counter = Counter()
-    scored = []
+    pairs = []
     for hyp, ref_sentence in zip(hyps, ref_corpus):
         errors[classify_output(hyp, ref_sentence, extra_lemmas=table)] += 1
         ref = ref_sentence.forms()
         if mode == "detokenized":
             hyp, ref = detokenize(hyp).split(), detokenize(ref).split()
-        scored.append((len(ref), pair_counts(hyp, ref)))
-    rows = _bucket_rows(scored)
+        pairs.append((hyp, ref))
+    rows = bucket_report(pairs)
     corpus = BleuCounts()
     for row in rows:
         corpus = corpus + row.counts

@@ -58,6 +58,11 @@ def test_bleu_zero_without_any_fourgrams():
     assert bleu4([["a", "b"]], [["a", "b"]]) == 0.0
 
 
+def test_score_is_zero_without_hypothesis_tokens():
+    # hand-built counts can have matches but no hypothesis length to divide by
+    assert BleuCounts(matched=[1] * 4, total=[1] * 4, hyp_len=0, ref_len=3).score() == 0.0
+
+
 def test_bleu_input_validation():
     with pytest.raises(ValueError):
         bleu4([], [])
@@ -176,6 +181,7 @@ def test_counts_sum_over_any_chunking_equals_one_pass(pairs, cuts):
     (["I", "'m", "here"], "I'm here"),
     (["do", "n't", "stop"], "don't stop"),
     (["John", "'s", "dog"], "John's dog"),
+    (["the", "boys", "'", "toys"], "the boys' toys"),
     (["they", "'ll", "go", "!"], "they'll go!"),
     (["50", "%", "done", ";", "more", "?"], "50% done; more?"),
     (["(", "see", "page", "4", ")"], "(see page 4)"),

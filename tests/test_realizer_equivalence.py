@@ -17,7 +17,7 @@ both paths.
 import math
 import random
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,7 +185,9 @@ def instances(draw, min_nodes=1, max_nodes=5, forms=FORMS):
     """A random tree of min_nodes-max_nodes nodes with 1-3 candidate forms
     per node, drawn from ``forms``.  Its node ids are 1..n, or distinct ids
     up to 1000 in any order, so the beam's mapping from node id to bit is
-    exercised on ids that are neither dense nor small."""
+    exercised on ids that are neither dense nor small.  Sparse ids enter
+    ``tree.nodes`` in token order, not id order, so the beam's walk in
+    ascending id is checked against an insertion order that differs."""
     n = draw(st.integers(min_nodes, max_nodes))
     ids = draw(st.permutations(range(1, n + 1)))
     heads = {ids[0]: 0}
@@ -248,24 +250,6 @@ def test_beam_matches_reference(instance, scorer):
         assert got.node_order == want.node_order
         assert got.score == want.score
         assert got.beam_size == want.beam_size == beam
-        assert got_scorer.calls == want_scorer.calls
-
-
-@settings(max_examples=100, deadline=None)
-@given(instances(), scorers(), st.data())
-def test_beam_ignores_node_insertion_order(instance, scorer, data):
-    """The beam walks node ids in ascending order whatever order
-    ``tree.nodes`` was filled in."""
-    sentence, lexicon = instance
-    tree = sentence.tree
-    ids = data.draw(st.permutations(sorted(tree.nodes)))
-    shuffled = replace(sentence, tree=replace(tree, nodes={i: tree.nodes[i] for i in ids}))
-    for beam in (1, 3, exhaustive_beam(sentence, lexicon)):
-        want_scorer, got_scorer = RecordingScorer(scorer), RecordingScorer(scorer)
-        want = beam_realize(sentence, want_scorer, beam, lexicon)
-        got = beam_realize(shuffled, got_scorer, beam, lexicon)
-        assert (got.tokens, got.node_order, got.score) == (want.tokens, want.node_order,
-                                                            want.score)
         assert got_scorer.calls == want_scorer.calls
 
 
