@@ -103,6 +103,8 @@ def parse_pairs(column: str) -> list[tuple[str, str]]:
 
 
 def misc_get(misc: str, key: str) -> str | None:
+    """The value of ``key`` in a MISC column ("" for a part without ``=``), or None:
+    the first part with the key wins."""
     if misc and misc != EMPTY:
         for part in misc.split("|"):
             k, _, value = part.partition("=")
@@ -114,6 +116,8 @@ def misc_get(misc: str, key: str) -> str | None:
 def iter_blocks(text: str) -> Iterator[list[str]]:
     """Group CoNLL-U text into sentence blocks of lines.
 
+    A blank line (empty or whitespace only) ends a block; the last block is
+    yielded even with no blank line after it.
     Only LF line endings are supported, so a carriage return anywhere in
     ``text`` is a whole-file format fault, raised as :class:`ConlluError`
     before the first block, even where malformed blocks would be skipped.
@@ -134,7 +138,10 @@ def iter_blocks(text: str) -> Iterator[list[str]]:
 
 def parse_block(lines: list[str]) -> UdSentence:
     """Parse one sentence block (lines without their newlines, as
-    :func:`iter_blocks` yields them); raises ConlluError on any violation."""
+    :func:`iter_blocks` yields them); raises ConlluError on any violation.
+
+    Every line that is not a comment has exactly 10 tab-separated columns.
+    """
     comments: list[str] = []
     ignored: list[tuple[int, str]] = []
     tokens: list[UdToken] = []

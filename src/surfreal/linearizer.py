@@ -58,7 +58,9 @@ def linearize(s: ShallowSentence, rng_seed: int, scoped: bool = False) -> Linear
 
     Each node contributes its (escaped) lemma before any of its children;
     with ``scoped`` on, a node with children wraps all of its child
-    subtrees in a single bracket pair.
+    subtrees in a single bracket pair.  The children's order comes from one
+    ``random.Random(rng_seed)`` stream: one ``shuffle`` per node with two or
+    more children, in visit order.
     """
     shuffle = random.Random(rng_seed).shuffle
     escape = _ESCAPES.get
@@ -97,7 +99,8 @@ def append_form_list(
 
     A node is relevant when its (lemma, upos) pair has at least two
     distinct observed forms in the lexicon.  Each relevant node adds one
-    segment ``lemma = form | form | ...`` after a reserved separator;
+    segment ``lemma = form | form | ...`` after a reserved separator, its
+    lemma escaped as well as its forms;
     with no relevant nodes the sequence is returned unchanged.  Segments
     are built once per (lemma, upos) into ``segments``, a memo that calls
     with the same lexicon may share (a fresh one when None).

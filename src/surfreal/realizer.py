@@ -67,6 +67,8 @@ class FormLexicon:
 
 
 def build_form_lexicon(gold: list[UdSentence]) -> FormLexicon:
+    """Count the gold tokens' forms under their three lexicon keys; lemmas are
+    lowercased in every key."""
     # count each distinct (lemma, upos, feats, form) row once, then add the
     # counts under the row's three keys (_rank_forms sorts, so order does not matter)
     rows: Counter = Counter()

@@ -1,34 +1,14 @@
-"""The data builders against earlier forms of them, and the contracts of the
-files the commands read.
+"""The contracts of the files the commands read, and of a trained model's
+distributions; no test here compares with a copy of earlier code.
 
-A copy of earlier code stays only while a mutant of the function it guards
-is killed by its test and by no other test:
-
-- ``reference_build_form_lexicon`` (the lexicon as it was before it counted
-  each row once): ``build_form_lexicon`` keying rows by lemmas it does not
-  lowercase.
-- ``reference_linearize`` (the recursive walk): ``linearize`` shuffling
-  children with the seed ``rng_seed + 1``.
-- ``reference_append_form_list`` (before segments were memoized): a segment
-  that writes its lemma unescaped.
-- ``before_misc_get`` (``misc_get`` as a scan of ``parse_pairs``):
-  ``misc_get`` returning the last part with the key, not the first.
-- ``before_iter_blocks`` (blank lines tested with ``str.strip``): an
-  ``iter_blocks`` that drops the last block when no blank line follows it.
-
-On generated inputs each live function must return an equal result, or raise
-the same error with the same message.
-
-The contracts need no copy.  ``make-dataset``'s CoNLL-U file and refs.txt,
-and a saved model's count file, with byte edits, either fail to load with
-DataError (so the command exits 2) or load as what their own encoding or
-``save`` writes back; each P(. | ctx) of a trained model is the module's
-Jelinek-Mercer recursion over its counts and sums to 1.  Each contract test
-counts its outcomes and checks that its generator reached both the rejecting
-and the accepting path.
+``make-dataset``'s CoNLL-U file and refs.txt, and a saved model's count file,
+with byte edits, either fail to load with DataError (so the command exits 2)
+or load as what their own encoding or ``save`` writes back; each P(. | ctx)
+of a trained model is the module's Jelinek-Mercer recursion over its counts
+and sums to 1.  Each contract test counts its outcomes and checks that its
+generator reached both the rejecting and the accepting path.
 """
 import math
-import random
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -38,134 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfreal import cli
-from surfreal.conllu_io import (
-    ConlluError,
-    DataError,
-    UdSentence,
-    UdToken,
-    iter_blocks,
-    misc_get,
-    parse_pairs,
-    serialize_conllu,
-)
-from surfreal.deptree import (
-    ShallowSentence,
-    build_tree,
-    shallow_to_conllu,
-    shallow_transform,
-)
-from surfreal.linearizer import (
-    CLOSE,
-    FORMS_SEP,
-    OPEN,
-    SEGMENT_EQ,
-    SEGMENT_OR,
-    LinearSeq,
-    append_form_list,
-    escape_token,
-    linearize,
-)
+from surfreal.conllu_io import DataError, UdSentence, UdToken, serialize_conllu
+from surfreal.deptree import ShallowSentence, shallow_to_conllu, shallow_transform
 from surfreal.ngram import BOS, UNK, NGramModel, train_ngram
-from surfreal.realizer import _rank_forms, build_form_lexicon, feats_key
-from treegen import FIELDS, heads, sentences
+from treegen import FIELDS, heads
 
-# --- earlier code, verbatim ------------------------------------------------------
-
-
-def reference_build_form_lexicon(gold):
-    full: dict[tuple, Counter] = {}
-    by_lemma_upos: dict[tuple, Counter] = {}
-    by_lemma: dict[str, Counter] = {}
-    for sentence in gold:
-        for t in sentence.tokens:
-            lemma = t.lemma.lower()
-            full.setdefault((lemma, t.upos, feats_key(t.feats)), Counter())[t.form] += 1
-            by_lemma_upos.setdefault((lemma, t.upos), Counter())[t.form] += 1
-            by_lemma.setdefault(lemma, Counter())[t.form] += 1
-    return (
-        {k: _rank_forms(c) for k, c in full.items()},
-        {k: _rank_forms(c) for k, c in by_lemma_upos.items()},
-        {k: _rank_forms(c) for k, c in by_lemma.items()},
-    )
-
-
-def reference_linearize(s, rng_seed, scoped=False):
-    rng = random.Random(rng_seed)
-    tree = s.tree
-    tokens: list[str] = []
-    node_of: dict[int, int] = {}
-
-    def walk(node_id: int) -> None:
-        node_of[len(tokens)] = node_id
-        tokens.append(escape_token(tree.nodes[node_id].lemma))
-        kids = list(tree.kids(node_id))
-        if not kids:
-            return
-        rng.shuffle(kids)
-        if scoped:
-            tokens.append(OPEN)
-        for kid in kids:
-            walk(kid)
-        if scoped:
-            tokens.append(CLOSE)
-
-    walk(tree.root)
-    return LinearSeq(tokens=tokens, node_of=node_of)
-
-
-def reference_append_form_list(seq, lexicon, tree):
-    segments: list[list[str]] = []
-    for node_id in seq.node_order():
-        info = tree.nodes[node_id]
-        forms = lexicon.relevant_forms(info.lemma, info.upos)
-        if not forms:
-            continue
-        segment = [escape_token(info.lemma), SEGMENT_EQ]
-        for i, (form, _count) in enumerate(forms):
-            if i:
-                segment.append(SEGMENT_OR)
-            segment.append(escape_token(form))
-        segments.append(segment)
-    if not segments:
-        return seq
-    tokens = list(seq.tokens)
-    tokens.append(FORMS_SEP)
-    for segment in segments:
-        tokens.extend(segment)
-    return LinearSeq(tokens=tokens, node_of=dict(seq.node_of))
-
-
-def before_misc_get(misc, key):
-    for k, v in parse_pairs(misc):
-        if k == key:
-            return v
-    return None
-
-
-def before_iter_blocks(text):
-    if "\r" in text:
-        raise ConlluError("carriage return found: CoNLL-U input must use LF line endings")
-    block: list[str] = []
-    for line in text.split("\n"):
-        if line.strip() == "":
-            if block:
-                yield block
-                block = []
-        else:
-            block.append(line)
-    if block:
-        yield block
-
-
-# --- outcomes and byte edits ----------------------------------------------------
-
-
-def outcome(call):
-    """A call's result, or its error's type and message."""
-    try:
-        return call()
-    except (ConlluError, DataError) as err:
-        return type(err), str(err)
+# --- byte edits ------------------------------------------------------------------
 
 
 def byte_edit(draw, data: bytearray, alphabet: list[bytes]) -> None:
@@ -180,70 +38,6 @@ def byte_edit(draw, data: bytearray, alphabet: list[bytes]) -> None:
     width = draw(st.integers(1, 3)) if edit != "insert" else 0
     data[i:i + width] = b"" if edit == "delete" else draw(st.sampled_from(alphabet)
                                                           | st.binary(min_size=1, max_size=2))
-
-
-# --- form lexicon ----------------------------------------------------------------
-
-
-def tables(lexicon):
-    """The lexicon's one table split by key length into the reference's three:
-    (lemma, upos, feats), (lemma, upos) and lemma."""
-    ranked = lexicon.ranked
-    return ({key: forms for key, forms in ranked.items() if len(key) == 3},
-            {key: forms for key, forms in ranked.items() if len(key) == 2},
-            {key[0]: forms for key, forms in ranked.items() if len(key) == 1})
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(sentences(), max_size=4))
-def test_build_form_lexicon_matches_reference(gold):
-    lexicon = build_form_lexicon(gold)
-    assert tables(lexicon) == reference_build_form_lexicon(gold)
-    assert sum(map(len, tables(lexicon))) == len(lexicon.ranked)
-
-
-# --- linearization and form lists --------------------------------------------------
-
-LEMMAS = st.sampled_from(["a", "A", "b", "(", ")"])
-UPOS = st.sampled_from(["X", "Y"])
-FORMS = st.sampled_from(["a", "b", "B", "(", ")"])
-
-
-@st.composite
-def small_vocab_sentences(draw, max_tokens: int = 9) -> UdSentence:
-    """Trees over a handful of lemmas and forms, so form lists and the
-    bracket escapes come up often."""
-    n = draw(st.integers(1, max_tokens))
-    head = draw(heads(n))
-    return UdSentence(tokens=[UdToken(i, draw(FORMS), draw(LEMMAS), draw(UPOS), "_", "_",
-                                      head[i], "dep", "_", "_")
-                              for i in range(1, n + 1)])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(small_vocab_sentences(), min_size=1, max_size=4),
-       st.lists(small_vocab_sentences(), max_size=4), st.integers(0, 2**32), st.booleans())
-def test_linearize_and_form_lists_match_reference(trees, gold, seed, scoped):
-    lexicon = build_form_lexicon(gold)
-    segments = {}  # one memo across the trees, as emit_training_pairs shares it
-    for i, sentence in enumerate(trees):
-        shallow = ShallowSentence(tree=build_tree(sentence))
-        seq = linearize(shallow, seed + i, scoped=scoped)
-        expected = reference_linearize(shallow, seed + i, scoped=scoped)
-        assert (seq.tokens, seq.node_of) == (expected.tokens, expected.node_of)
-        assert seq.node_order() == [seq.node_of[p] for p in sorted(seq.node_of)]
-        with_forms = append_form_list(seq, lexicon, shallow.tree, segments=segments)
-        expected = reference_append_form_list(expected, lexicon, shallow.tree)
-        assert (with_forms.tokens, with_forms.node_of) == (expected.tokens, expected.node_of)
-        assert with_forms.node_order() == seq.node_order()
-        assert append_form_list(seq, lexicon, shallow.tree) == with_forms
-
-
-@settings(max_examples=200, deadline=None)
-@given(sentences(), st.integers(0, 2**32), st.booleans())
-def test_linearize_matches_reference_on_any_fields(sentence, seed, scoped):
-    shallow = ShallowSentence(tree=build_tree(sentence))
-    assert linearize(shallow, seed, scoped) == reference_linearize(shallow, seed, scoped)
 
 
 # --- shallow datasets ----------------------------------------------------------------
@@ -321,32 +115,6 @@ def test_shallow_datasets_load_only_as_their_own_encoding():
     check()
     edited_loaded = outcomes["edited, same bytes"] + outcomes["edited, fixed point"]
     assert outcomes["rejected"] and edited_loaded, outcomes
-
-
-# --- CoNLL-U rows and blocks ------------------------------------------------------------
-
-MISC_PARTS = st.sampled_from(["_", "", "original_id=1", "original_id=", "original_id",
-                              "original_id=2=3", "Original_id=1", "X=1", "X", "=", "=1", "_=1"])
-MISC_KEYS = st.sampled_from(["original_id", "X", "_", "", "=", "original_id=1"])
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(MISC_PARTS | st.text(max_size=3), max_size=4), MISC_KEYS | st.text(max_size=2))
-def test_misc_get_matches_before(parts, key):
-    misc = "|".join(parts)
-    assert misc_get(misc, key) == before_misc_get(misc, key)
-
-
-BLANKISH = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
-            "\u2028", "\u3000", " \u3000\x0b", "\u200b", "a", " a ", "1\tx", "#", "\r"]
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from(BLANKISH) | st.text(max_size=3), max_size=8))
-def test_iter_blocks_matches_before(lines):
-    text = "\n".join(lines)
-    assert (outcome(lambda: list(iter_blocks(text)))
-            == outcome(lambda: list(before_iter_blocks(text))))
 
 
 # --- count files and distributions --------------------------------------------------

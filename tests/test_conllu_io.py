@@ -88,35 +88,73 @@ def test_serialize_empty_list():
 
 def test_single_token_sentence_block():
     s = UdSentence(tokens=[tok(1, "Go", "go", "VERB", "_", 0, "root")])
-    assert serialize_conllu([s]) == "1\tGo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n\n"
+    line = "1\tGo\tgo\tVERB\t_\t_\t0\troot\t_\t_"
+    assert serialize_conllu([s]) == line + "\n\n"
+    # a whitespace-only line ends a block, and the last block needs no blank line after it
+    assert parse_conllu(line) == parse_conllu(line + "\n") == [s]
+    assert parse_conllu(line + "\n \t\n" + line) == [s, s]
+
+
+def row(tok_id: str, head: str, n_cols: int = 10) -> str:
+    cols = [tok_id, "A", "a", "X", "_", "_", head, "dep", "_", "_"]
+    return "\t".join((cols + ["_"] * n_cols)[:n_cols])
 
 
 @pytest.mark.parametrize(
     "bad_rows,message",
     [
-        (["1\tA\ta\tX\t_\t_\t1\tdep\t_\t_"], "itself"),
-        (["1\tA\ta\tX\t_\t_\t2\tdep\t_\t_", "2\tB\tb\tX\t_\t_\t1\tdep\t_\t_"], "root"),
-        (["1\tA\ta\tX\t_\t_\t0\troot\t_\t_", "2\tB\tb\tX\t_\t_\t0\troot\t_\t_"], "root"),
-        (["1\tA\ta\tX\t_\t_\t9\tdep\t_\t_"], "dangling"),
-        (["2\tA\ta\tX\t_\t_\t0\troot\t_\t_"], "ids"),
-        (["1\tA\ta\tX\t_\t_\t0\troot\t_"], "columns"),
-        (["x\tA\ta\tX\t_\t_\t0\troot\t_\t_"], "id"),
-        (["1\tA\ta\tX\t_\t_\tz\tdep\t_\t_"], "head"),
+        ([row("1", "1")], "token 1 has itself as head"),
+        ([row("1", "2"), row("2", "1")], "expected exactly one root, found 0"),
+        ([row("1", "0"), row("2", "0")], "expected exactly one root, found 2"),
+        ([row("1", "0"), row("2", "3"), row("3", "2")],
+         "tree contains a cycle (not all tokens reachable from root)"),
+        ([row("1", "9")], "token 1 has dangling head 9"),
+        ([row("1", "0"), row("2", "3")], "token 2 has dangling head 3"),  # n + 1
+        ([row("2", "1")], "token ids must be 1..1 in order, found 2 at row 1"),
+        ([row("1", "0", n_cols=9)], f"expected 10 columns, got 9: {row('1', '0', 9)!r}"),
+        ([row("1", "0", n_cols=11)], f"expected 10 columns, got 11: {row('1', '0', 11)!r}"),
+        ([row("x", "0")], "non-integer token id 'x'"),
+        ([row("1", "z")], "non-integer head 'z' for token 1"),
+        (["# sent_id = 1"], "sentence has no token rows"),
     ],
 )
 def test_strict_mode_rejects_malformed_blocks(bad_rows, message):
-    with pytest.raises(ConlluError, match=message):
+    with pytest.raises(ConlluError) as err:
         parse_conllu("\n".join(bad_rows) + "\n\n")
+    assert str(err.value) == message
 
 
-def test_cycle_detection():
-    rows = [
-        "1\tA\ta\tX\t_\t_\t0\troot\t_\t_",
-        "2\tB\tb\tX\t_\t_\t3\tdep\t_\t_",
-        "3\tC\tc\tX\t_\t_\t2\tdep\t_\t_",
-    ]
-    with pytest.raises(ConlluError, match="cycle"):
-        parse_conllu("\n".join(rows) + "\n\n")
+# each spelling in the id column of a third row, and in the head column of the first:
+# the (id, head) rows it parses to, "aside" where the row is kept as a range or an
+# empty-node line, or the error's message (Unicode digits are digits, as in int())
+TOKEN_IDS, TOKEN_HEADS = [(1, 0), (2, 1), (3, 1)], [(1, 3), (2, 1), (3, 0)]
+ODD_IDS = [
+    ("3", TOKEN_IDS, TOKEN_HEADS),
+    ("03", TOKEN_IDS, TOKEN_HEADS),
+    ("\u0663", TOKEN_IDS, TOKEN_HEADS),  # ARABIC-INDIC DIGIT THREE
+    ("2-3", "aside", "non-integer head '2-3' for token 1"),
+    ("5.1", "aside", "non-integer head '5.1' for token 1"),
+    ("+3", "non-integer token id '+3'", "non-integer head '+3' for token 1"),
+    ("-1", "non-integer token id '-1'", "non-integer head '-1' for token 1"),
+    ("", "non-integer token id ''", "non-integer head '' for token 1"),
+    ("3 ", "non-integer token id '3 '", "non-integer head '3 ' for token 1"),
+    ("x", "non-integer token id 'x'", "non-integer head 'x' for token 1"),
+]
+
+
+@pytest.mark.parametrize("spelling,as_id,as_head", ODD_IDS)
+def test_every_odd_id_and_head_has_its_outcome(spelling, as_id, as_head):
+    def outcome(rows):
+        try:
+            [sentence] = parse_conllu("\n".join(rows) + "\n")
+        except ConlluError as err:
+            return str(err)
+        if sentence.ignored_lines == [(2, rows[2])]:
+            return "aside"
+        return [(t.id, t.head) for t in sentence.tokens]
+
+    assert outcome([row("1", "0"), row("2", "1"), row(spelling, "1")]) == as_id
+    assert outcome([row("1", spelling), row("2", "1"), row("3", "0")]) == as_head
 
 
 def test_lenient_mode_counts_skips(fixture_text):
@@ -124,6 +162,10 @@ def test_lenient_mode_counts_skips(fixture_text):
     sentences = parse_conllu(broken, strict=False)
     assert len(sentences) == 4
     assert len(list(iter_blocks(broken))) - len(sentences) == 1
+    # a carriage return is a whole-file fault, though its block alone would be skipped
+    with pytest.raises(ConlluError) as err:
+        parse_conllu("\r" + fixture_text, strict=False)
+    assert str(err.value) == "carriage return found: CoNLL-U input must use LF line endings"
 
 
 def test_feats_misc_round_trip_preserves_order():
@@ -141,6 +183,13 @@ def test_misc_helpers():
     assert misc_get(misc, "SpaceAfter") == "No"
     assert misc_get(misc, "nope") is None
     assert misc_get("_", "original_id") is None
+    assert misc_get("", "") is None
+    # keys match whole and case-sensitively, and the first part with the key wins
+    assert misc_get(misc, "original") is None
+    assert misc_get(misc, "spaceafter") is None
+    assert misc_get("a=1|a=2", "a") == "1"
+    # a value runs to the end of its part; a part without = has the value ""
+    assert [misc_get("x=|y|z=1=2", key) for key in ("x", "y", "z")] == ["", "", "1=2"]
 
 
 @pytest.mark.parametrize("row", [

@@ -65,6 +65,17 @@ def test_deterministic_for_fixed_seed(toy):
     s = shallow_transform(toy.sentence("long"), seed=4)
     assert linearize(s, 123, scoped=True).tokens == linearize(s, 123, scoped=True).tokens
     assert linearize(s, 123).tokens != linearize(s, 124).tokens or s.tree.size() <= 2
+    # one stream for the walk: r's three children are shuffled first, then a's two
+    # (seed 1 gives r ( b c a ( d e ) ))
+    two_levels = as_shallow([
+        tok(1, "r", "r", "X", "_", 0, "root"),
+        tok(2, "a", "a", "X", "_", 1, "dep"),
+        tok(3, "b", "b", "X", "_", 1, "dep"),
+        tok(4, "c", "c", "X", "_", 1, "dep"),
+        tok(5, "d", "d", "X", "_", 2, "dep"),
+        tok(6, "e", "e", "X", "_", 2, "dep"),
+    ])
+    assert linearize(two_levels, 0, scoped=True).text() == "r ( a ( e d ) c b )"
 
 
 def dfs_orders(tree):
@@ -130,15 +141,21 @@ def test_small_tree_traversals_are_exactly_the_valid_dfs_orders(toy):
 
 
 def test_literal_parentheses_are_escaped():
-    s = as_shallow([
+    rows = [
         tok(1, "(", "(", "PUNCT", "_", 2, "punct"),
         tok(2, "ok", "ok", "ADJ", "_", 0, "root"),
         tok(3, ")", ")", "PUNCT", "_", 2, "punct"),
-    ])
+    ]
+    s = as_shallow(rows)
     seq = linearize(s, 0, scoped=True)
     lemmas = [seq.tokens[p] for p in sorted(seq.node_of)]
     assert sorted(lemmas) == ["-lrb-", "-rrb-", "ok"]
     assert seq.tokens.count(OPEN) == 1 and seq.tokens.count(CLOSE) == 1
+    # the lemma ( has two forms, so its form-list segment escapes both it and them
+    lexicon = build_form_lexicon([UdSentence(tokens=rows), UdSentence(
+        tokens=[tok(1, "[", "(", "PUNCT", "_", 0, "root")])])
+    with_forms = append_form_list(seq, lexicon, s.tree).tokens
+    assert with_forms[len(seq.tokens):] == [FORMS_SEP, "-lrb-", "=", "-lrb-", "|", "["]
 
 
 # --- form lists ---------------------------------------------------------------
@@ -174,14 +191,21 @@ def test_form_list_orders_by_descending_count():
 
 
 def test_segments_follow_traversal_order_and_match_count_oracle(toy):
-    gold = toy.corpus(80, kind="mixed")
+    # a segment is written with its node's lemma, and built per (lemma, upos)
+    run = UdSentence(tokens=[
+        tok(1, "Runs", "Run", "VERB", "_", 0, "root"),
+        tok(2, "ran", "run", "VERB", "_", 1, "dep"),
+        tok(3, "run", "run", "NOUN", "_", 1, "obj"),
+        tok(4, "runs", "run", "NOUN", "_", 1, "obj"),
+    ])
+    gold = toy.corpus(80, kind="mixed") + [run]
     lexicon = build_form_lexicon(gold)
     # independent reconstruction of expected segments from raw counts
     raw = {}
     for sentence in gold:
         for t in sentence.tokens:
             raw.setdefault((t.lemma.lower(), t.upos), Counter())[t.form] += 1
-    for i, sentence in enumerate(gold[:15]):
+    for i, sentence in enumerate(gold[:15] + [run]):
         s = shallow_transform(sentence, seed=i)
         seq = linearize(s, i)
         appended = append_form_list(seq, lexicon, s.tree)

@@ -38,7 +38,9 @@ def test_lexicon_fallback_chain():
     gold = [UdSentence(tokens=[
         tok(1, "ran", "run", "VERB", "Tense=Past", 0, "root"),
         tok(2, "runs", "run", "VERB", "Number=Sing|Person=3|Tense=Pres", 1, "dep"),
-        tok(3, "running", "run", "NOUN", "Number=Sing", 1, "dep"),
+        tok(3, "running", "Run", "NOUN", "Number=Sing", 1, "dep"),  # keyed as run
+        tok(4, "ran", "run ", "VERB", "Tense=Past", 1, "dep"),  # not as run
+        tok(5, "Straßen", "Straße", "NOUN", "Number=Plur", 1, "dep"),  # not as strasse
     ])]
     lexicon = build_form_lexicon(gold)
     # exact key
@@ -49,8 +51,9 @@ def test_lexicon_fallback_chain():
     assert lexicon.candidates("run", "ADJ", "_") == (("ran", 1), ("running", 1), ("runs", 1))
     # unknown lemma falls back to itself
     assert lexicon.candidates("zyzzyva", "NOUN", "_") == (("zyzzyva", 1),)
-    # lemma lookups are case-insensitive
+    # lemmas are lowercased in every key, and lookups lowercase theirs
     assert lexicon.candidates("Run", "VERB", "Tense=Past") == (("ran", 1),)
+    assert lexicon.candidates("Straße", "NOUN", "Number=Plur") == (("Straßen", 1),)
     assert not lexicon.relevant_forms("zyzzyva", "NOUN")
 
 

@@ -1,17 +1,18 @@
 """The beam search against a straightforward reference implementation.
 
-``reference_beam_realize`` materializes a ``Hypothesis`` record (defined
-here; the beam itself keeps plain tuples) for every candidate, scores
-every candidate and sorts them all; ``beam_realize`` must return
-the same tokens, node order and score (bit for bit) on random trees,
-lexicons and scorers.  With a scorer that has no state key it must call
-the scorer with the same arguments in the same order; with a state key
-(the n-gram scorer's, or the last form's) it must make the reference's
-calls less every repeat of a (state key, form).  Coarse integer scorers
-make many candidates tie, and a keyed scorer whose deltas differ by less
-than half an ulp of the running score makes summed scores tie while the
-deltas differ, so the tie-break by generation order is exercised on
-both paths.
+``reference_beam_realize`` is the executable spec of the search, slot
+nesting included, and the one copy of a replaced design the suite keeps.
+It materializes a ``Hypothesis`` record (defined here; the beam itself
+keeps plain tuples) for every candidate, scores every candidate and
+sorts them all; ``beam_realize`` must return the same tokens, node order
+and score (bit for bit) on random trees, lexicons and scorers.  With a
+scorer that has no state key it must call the scorer with the same
+arguments in the same order; with a state key (the n-gram scorer's, or
+the last form's) it must make the reference's calls less every repeat of
+a (state key, form).  Coarse integer scorers make many candidates tie,
+and a keyed scorer whose deltas differ by less than half an ulp of the
+running score makes summed scores tie while the deltas differ, so the
+tie-break by generation order is exercised on both paths.
 """
 
 import math
@@ -270,12 +271,6 @@ def test_beam_memory_follows_candidates_not_width(instance, scorer):
     assert peak < 2 * 2**20, f"peak {peak} bytes"
 
 
-def reference_context_key(order, history):
-    need = order - 1
-    hist = tuple(history)[-need:] if need else ()
-    return (BOS,) * (need - len(hist)) + hist
-
-
 @settings(max_examples=200, deadline=None)
 @given(order=st.integers(1, 5),
        history=st.lists(st.sampled_from(FORMS + ["zz"]), max_size=7),
@@ -284,9 +279,7 @@ def reference_context_key(order, history):
 def test_context_key_and_logprob(order, history, token, as_tuple):
     model = train_ngram([["a", "b", "c"], ["c", "a", "d", "e"], ["b", "b"]], order=order, lam=0.7)
     hist = tuple(history) if as_tuple else list(history)
-    key = model.context_key(hist)
-    assert key == reference_context_key(order, history)
-    assert len(key) == order - 1
+    assert len(model.context_key(hist)) == order - 1
     got = model.logprob(token, hist)
     assert got == math.log(model.prob(token, history))
     assert model.logprob(token, tuple(history)) == got
