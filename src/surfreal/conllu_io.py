@@ -6,7 +6,10 @@ fields, and a blank line terminating each sentence.  Multiword-token
 range lines (id like ``2-3``) and empty-node lines (id like ``5.1``) are
 not part of the syntactic tree; they are kept verbatim, anchored to
 their position, so that serializing a parsed file reproduces it byte
-for byte.
+for byte.  One exception: a token id or head written with leading zeros
+or non-ASCII decimal digits parses as its number and is written back as
+plain ASCII (``03`` and ``\u0663`` both parse as 3 and serialize as
+``3``), so such a file does not round-trip byte for byte.
 
 Only UTF-8 text with LF line endings is supported.  The parser builds
 each row with ``tuple.__new__(UdToken, fields)``, a C-level call, and
@@ -16,7 +19,6 @@ only after it has checked the field count and the id and head types.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 EMPTY = "_"
@@ -69,7 +71,6 @@ class UdToken(NamedTuple):
         )
 
 
-@dataclass
 class UdSentence:
     """One sentence block.
 
@@ -80,9 +81,19 @@ class UdSentence:
     after all tokens if ``anchor`` equals the token count).
     """
 
-    tokens: list[UdToken]
-    comments: list[str] = field(default_factory=list)
-    ignored_lines: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ("tokens", "comments", "ignored_lines")
+
+    def __init__(self, tokens: list[UdToken], comments: list[str] | None = None,
+                 ignored_lines: list[tuple[int, str]] | None = None):
+        self.tokens = tokens
+        self.comments = [] if comments is None else comments
+        self.ignored_lines = [] if ignored_lines is None else ignored_lines
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tokens == other.tokens and self.comments == other.comments
+                and self.ignored_lines == other.ignored_lines)
 
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
@@ -231,7 +242,9 @@ def serialize_conllu(sentences: Iterable[UdSentence]) -> str:
     """Serialize sentences; each block ends with one blank line.
 
     ``serialize_conllu(parse_conllu(text))`` is byte-identical for files
-    already in this canonical shape (LF endings, single blank separators).
+    already in this canonical shape (LF endings, single blank separators,
+    ids and heads in ASCII digits without leading zeros: an id or head
+    ``03`` or ``\u0663`` parses as 3 and serializes as ``3``).
     """
     out: list[str] = []
     for sentence in sentences:

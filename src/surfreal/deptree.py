@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -36,18 +35,25 @@ class NodeInfo(NamedTuple):
     deprel: str
 
 
-@dataclass
 class DepTree:
     """Rooted tree over node ids. ``children`` lists are sorted ascending
-    so traversal order is a function of the ids alone."""
+    (in place) so traversal order is a function of the ids alone."""
 
-    root: int
-    nodes: dict[int, NodeInfo]
-    children: dict[int, list[int]] = field(default_factory=dict)
+    __slots__ = ("root", "nodes", "children")
 
-    def __post_init__(self):
+    def __init__(self, root: int, nodes: dict[int, NodeInfo],
+                 children: dict[int, list[int]] | None = None):
+        self.root = root
+        self.nodes = nodes
+        self.children = {} if children is None else children
         for kids in self.children.values():
             kids.sort()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root == other.root and self.nodes == other.nodes
+                and self.children == other.children)
 
     def kids(self, node_id: int) -> list[int]:
         return self.children.get(node_id, [])
@@ -59,13 +65,12 @@ class DepTree:
         return sorted(self.nodes)
 
 
-@dataclass
-class ShallowSentence:
+class ShallowSentence(NamedTuple):
     """A shuffled tree plus, when known, the reference realization.
 
     ``alignment`` maps a shuffled node id to the position (0-based) of
     its token in the reference; it is None for synthetic data where no
-    reference order exists.
+    reference order exists.  A ``NamedTuple``, like :class:`NodeInfo`.
     """
 
     tree: DepTree

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .conllu_io import DataError, UdSentence
 from .linearizer import _ESCAPES
@@ -33,7 +33,6 @@ class ErrorCategory(Enum):
 # --- BLEU -------------------------------------------------------------------
 
 
-@dataclass
 class BleuCounts:
     """Clipped-match and total n-gram counts for 1..4-grams plus lengths.
 
@@ -41,10 +40,20 @@ class BleuCounts:
     computed by any parallel map + reduce over sentence pairs.
     """
 
-    matched: list[int] = field(default_factory=lambda: [0] * MAX_ORDER)
-    total: list[int] = field(default_factory=lambda: [0] * MAX_ORDER)
-    hyp_len: int = 0
-    ref_len: int = 0
+    __slots__ = ("matched", "total", "hyp_len", "ref_len")
+
+    def __init__(self, matched: list[int] | None = None, total: list[int] | None = None,
+                 hyp_len: int = 0, ref_len: int = 0):
+        self.matched = [0] * MAX_ORDER if matched is None else matched
+        self.total = [0] * MAX_ORDER if total is None else total
+        self.hyp_len = hyp_len
+        self.ref_len = ref_len
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matched == other.matched and self.total == other.total
+                and self.hyp_len == other.hyp_len and self.ref_len == other.ref_len)
 
     def __add__(self, other: "BleuCounts") -> "BleuCounts":
         return BleuCounts(
@@ -187,8 +196,7 @@ def corpus_lemma_table(ref_corpus: list[UdSentence]) -> dict[str, str]:
 # --- buckets and the full report --------------------------------------------
 
 
-@dataclass
-class BucketRow:
+class BucketRow(NamedTuple):
     label: str
     count: int
     bleu: float | None
@@ -210,8 +218,7 @@ def bucket_report(pairs: list[tuple[list[str], list[str]]]) -> list[BucketRow]:
     ]
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     corpus_bleu: float
     bucket_bleu: list[BucketRow]
     error_counts: dict[ErrorCategory, int]

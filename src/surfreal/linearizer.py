@@ -11,7 +11,6 @@ for lemmas that have more than one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .conllu_io import DataError
 from .deptree import DepTree, ShallowSentence
@@ -35,15 +34,17 @@ def escape_token(token: str) -> str:
     return _ESCAPES.get(token, token)
 
 
-@dataclass
 class LinearSeq:
     """A linearized tree: ``tokens`` is the flat sequence, ``node_of``
     maps positions of lemma tokens back to tree node ids (markers and
     form-list tokens have no entry).  ``node_of``'s keys ascend in
     insertion order, as :func:`linearize` inserts them."""
 
-    tokens: list[str]
-    node_of: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("tokens", "node_of")
+
+    def __init__(self, tokens: list[str], node_of: dict[int, int] | None = None):
+        self.tokens = tokens
+        self.node_of = {} if node_of is None else node_of
 
     def node_order(self) -> list[int]:
         """Node ids in traversal order: ``node_of``'s values, as its keys ascend."""

@@ -13,10 +13,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from collections.abc import Hashable
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
 from operator import attrgetter
+from typing import NamedTuple
 
 from .conllu_io import DataError, UdSentence, parse_pairs
 from .deptree import NodeInfo, ShallowSentence
@@ -141,8 +141,7 @@ class OracleScorer(Scorer):
         return self.WRONG
 
 
-@dataclass
-class RealizationResult:
+class RealizationResult(NamedTuple):
     tokens: list[str]
     node_order: list[int]
     score: float
@@ -321,8 +320,7 @@ def beam_realize(
     )
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """How often the aligned reference form is among a node's candidates."""
 
     covered_nodes: int

@@ -12,9 +12,8 @@ exactly one reason.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from unicodedata import is_normalized, normalize
 
 from .conllu_io import (
@@ -33,17 +32,29 @@ REASON_MALFORMED = "malformed"
 _lemma = itemgetter(2)  # a UdToken's lemma
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
-    min_len: int = 5
-    max_len: int = 50
-    overlap_threshold: float = 0.8
+class _PolicyFields(NamedTuple):
+    min_len: int
+    max_len: int
+    overlap_threshold: float
 
-    def __post_init__(self):
-        if not 0 < self.min_len <= self.max_len:
-            raise ValueError(f"need 0 < min_len <= max_len, got {self.min_len}, {self.max_len}")
-        if not 0.0 <= self.overlap_threshold <= 1.0:
-            raise ValueError(f"overlap_threshold must be in [0, 1], got {self.overlap_threshold}")
+
+class FilterPolicy(_PolicyFields):
+    """The sentence-length bounds and the vocabulary-overlap threshold.  A
+    ``NamedTuple`` that every way of building it checks: the constructor,
+    ``_make``, ``_replace`` and unpickling all raise ValueError on bad values."""
+
+    __slots__ = ()
+
+    def __new__(cls, min_len: int = 5, max_len: int = 50, overlap_threshold: float = 0.8):
+        if not 0 < min_len <= max_len:
+            raise ValueError(f"need 0 < min_len <= max_len, got {min_len}, {max_len}")
+        if not 0.0 <= overlap_threshold <= 1.0:
+            raise ValueError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
+        return super().__new__(cls, min_len, max_len, overlap_threshold)
+
+    @classmethod
+    def _make(cls, iterable) -> FilterPolicy:
+        return cls(*iterable)
 
 
 def build_vocab(sentences: Iterable[list[str]], min_count: int) -> frozenset[str]:
@@ -72,8 +83,7 @@ def filter_sentence(tokens: list[str], vocab: frozenset[str], policy: FilterPoli
     return None
 
 
-@dataclass
-class SynthStats:
+class SynthStats(NamedTuple):
     input_count: int = 0
     kept_count: int = 0
     rejected_by_length: int = 0

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from surfreal.conllu_io import ConlluError, UdSentence, misc_get, parse_conllu, serialize_conllu
 from surfreal.deptree import (
+    DepTree,
     build_tree,
     shallow_from_conllu,
     shallow_to_conllu,
@@ -101,6 +103,9 @@ def test_shallow_transform_deterministic(toy):
     b = shallow_transform(s, seed=42)
     assert a.tree == b.tree
     assert a.alignment == b.alignment
+    # spawn and forkserver realize workers get their sentences pickled
+    clone = pickle.loads(pickle.dumps(a))
+    assert clone == a and type(clone.tree) is DepTree
 
 
 def test_shallow_transform_matches_stdlib_shuffle_oracle(toy):

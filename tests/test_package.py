@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +28,16 @@ def test_runtime_imports_are_stdlib():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_process_machinery():
+    """Every ``sr`` start imports ``surfreal.cli``.  Its records are NamedTuples and
+    slotted classes, so it loads neither ``dataclasses`` nor the ``inspect`` that it
+    pulls in, and ``multiprocessing`` loads only when realize workers start."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import surfreal.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'multiprocessing', 'concurrent.futures'}"
+            " & sys.modules.keys()))")
+    src = str(Path(surfreal.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

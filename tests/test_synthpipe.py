@@ -1,3 +1,4 @@
+import pickle
 import unicodedata
 from collections import Counter
 
@@ -41,12 +42,17 @@ def test_build_vocab_counts_instances():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        FilterPolicy(min_len=0)
-    with pytest.raises(ValueError):
-        FilterPolicy(min_len=10, max_len=5)
-    with pytest.raises(ValueError):
-        FilterPolicy(overlap_threshold=1.5)
+    policy = FilterPolicy()
+    bad = [{"min_len": 0}, {"min_len": 10, "max_len": 5}, {"overlap_threshold": 1.5}]
+    for fields in bad:
+        for build in (lambda: FilterPolicy(**fields),
+                      lambda: policy._replace(**fields),
+                      lambda: FilterPolicy._make({**policy._asdict(), **fields}.values())):
+            with pytest.raises(ValueError):
+                build()
+    with pytest.raises(AttributeError):
+        policy.min_len = 3
+    assert pickle.loads(pickle.dumps(policy)) == policy == (5, 50, 0.8)
 
 
 def test_filter_checks_length_before_overlap():
